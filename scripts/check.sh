@@ -79,6 +79,12 @@ for stage in dispatch ring_transit shard_work reassembly wots_verify \
 done
 grep -q '"accounted_share"' build/throughput.profile.json
 
+# The repo benchmark (perfbench/, declared by BENCHMARK.json): every
+# workload at a tiny size, untraced and traced, with its correctness
+# checks and metric names asserted by the smoke test itself.
+echo "== end-to-end benchmark (smoke) =="
+python3 perfbench/smoke_test.py
+
 echo "== control plane bench (smoke) =="
 build/bench/bench_ctrl --smoke --json=build/BENCH_ctrl.smoke.json \
   --metrics-json=build/ctrl.metrics.json > /dev/null

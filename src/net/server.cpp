@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "copland/evidence.h"
 #include "obs/obs.h"
 
 namespace pera::net {
@@ -213,7 +212,7 @@ void AppraiserServer::on_appraised(const pipeline::EvidenceItem& item,
   out.kind = Inbound::Kind::kResult;
   out.nonce = item.nonce;
   out.verdict = rec.decoded && rec.sig_ok;
-  if (rec.content) out.evidence_digest = copland::digest(rec.content);
+  if (rec.decoded) out.evidence_digest = rec.content_digest;
 
   // A round born from a relayed challenge goes back to the relying
   // party; everything else answers the originating switch session.

@@ -61,6 +61,18 @@ bool ParallelAppraiser::accept(std::uint32_t producer, EvidenceItem&& item) {
   return true;
 }
 
+void ParallelAppraiser::appraise(WorkerState& state, const EvidenceItem& item) {
+  prof::enter(prof::Stage::kWotsVerify);
+  AppraisedRecord rec = appraise_record(item, verifiers_);
+  prof::enter(prof::Stage::kReassembly);
+  if (options_.record_hook) {
+    options_.record_hook(item, std::move(rec));
+  } else {
+    state.flows.try_emplace(item.flow, options_.mode).first->second.add(rec);
+  }
+  ++state.records;
+}
+
 void ParallelAppraiser::run_worker(std::size_t w) {
   if (options_.pin_base >= 0) {
     pin_current_thread(static_cast<unsigned>(options_.pin_base) +
@@ -72,6 +84,9 @@ void ParallelAppraiser::run_worker(std::size_t w) {
   EvidenceItem item;
   Backoff idle;
   for (;;) {
+    // done_ is set only after every producer thread was joined: once it
+    // reads true, a pass that pops nothing leaves the rings empty forever.
+    const bool done = done_.load(std::memory_order_acquire);
     // Visit every producer's ring; pop in bursts so verification runs
     // as a batch per visit.
     std::size_t popped = 0;
@@ -80,49 +95,17 @@ void ParallelAppraiser::run_worker(std::size_t w) {
       for (std::size_t n = 0; n < options_.verify_burst; ++n) {
         if (!q.try_pop(item)) break;
         ++popped;
-        prof::enter(prof::Stage::kWotsVerify);
-        AppraisedRecord rec = appraise_record(item, verifiers_);
-        prof::enter(prof::Stage::kReassembly);
-        if (options_.record_hook) {
-          options_.record_hook(item, std::move(rec));
-        } else {
-          state.flows[item.flow].push_back(std::move(rec));
-        }
-        ++state.records;
+        appraise(state, item);
       }
     }
     if (popped != 0) {
       idle.reset();
       continue;
     }
-    if (done_.load(std::memory_order_acquire)) {
-      // done_ is set only after every producer thread was joined, so no
-      // push can race this final drain: empty one last full pass and
-      // the rings stay empty forever.
-      for (std::size_t p = 0; p < producers_; ++p) {
-        SpscQueue<EvidenceItem>& q = ring(p, w);
-        while (q.try_pop(item)) {
-          prof::enter(prof::Stage::kWotsVerify);
-          AppraisedRecord rec = appraise_record(item, verifiers_);
-          prof::enter(prof::Stage::kReassembly);
-          if (options_.record_hook) {
-            options_.record_hook(item, std::move(rec));
-          } else {
-            state.flows[item.flow].push_back(std::move(rec));
-          }
-          ++state.records;
-        }
-      }
-      break;
-    }
+    if (done) break;
     prof::enter(prof::Stage::kIdle);
     idle.wait();
   }
-  prof::enter(prof::Stage::kReassembly);
-  for (auto& [flow, records] : state.flows) {
-    state.verdicts[flow] = fold_flow(flow, records, options_.mode);
-  }
-  state.flows.clear();
 }
 
 void ParallelAppraiser::finish() {
@@ -139,7 +122,9 @@ void ParallelAppraiser::finish() {
   const prof::ScopedStage merge(prof::Stage::kMerge);
   for (WorkerState& state : states_) {
     records_ += state.records;
-    verdicts_.merge(state.verdicts);
+    for (auto& [flow, fold] : state.flows) {
+      verdicts_.emplace(flow, fold.finish(flow));
+    }
   }
   PERA_OBS_COUNT("pipeline.appraise.flows", verdicts_.size());
 }

@@ -1,31 +1,32 @@
 // Parallel appraisal: per-shard appraiser workers with a deterministic
 // merge.
 //
-// PR 2's ShardedAppraiser verified and folded every flow on one thread
-// *after* the pipeline run — the serial tail that kept wall-clock
-// packets/sec flat while simulated packets/sec scaled with shards. This
-// splits appraisal the way Petz & Alexander layer attestation managers:
-// N independent appraiser workers each own a disjoint slice of the flow
-// space (the same multiplicative hash-partition the dispatcher uses for
-// shards), verify evidence *concurrently with the pipeline run*, and
-// their per-flow verdicts compose through a cheap deterministic merge —
-// per-flow work is identical to the serial path (appraise_record +
-// fold_flow in reassembler.h), and flow slices are disjoint, so the
-// merged verdict map and summary digest are bit-identical to
-// ShardedAppraiser for any (shard count × appraiser count).
+// N independent appraiser workers, layered the way Petz & Alexander
+// layer attestation managers, each own a disjoint slice of the flow space
+// (the same multiplicative hash-partition the dispatcher uses for
+// shards). They verify evidence *concurrently with the pipeline run* and
+// fold every record into its flow's running transcript (FlowFold in
+// reassembler.h) the moment they pop it, so a flow costs O(1) appraiser
+// memory however long it runs, and finish() only finalises. Per-flow work
+// is identical to the serial path (appraise_record + FlowFold), records
+// of one flow arrive in sequence order (one shard per flow, in-order
+// emission, FIFO rings), and flow slices are disjoint, so the merged
+// verdict map and summary digest are bit-identical to ShardedAppraiser
+// for any (shard count × appraiser count).
 //
 // Wiring: one SPSC ring per (producer shard, appraiser worker) pair —
 // the producing shard thread is the only pusher and the owning appraiser
 // the only popper, so the evidence hand-off takes zero locks, like the
 // packet rings. Workers pop in bursts so signature verification runs in
 // batches (with the XMSS scheme each verification's WOTS chain walk
-// rides the multi-lane SHA-256 engine from PR 4).
+// rides the multi-lane SHA-256 engine).
 //
 // Shutdown (the defined drain order, see PeraPipeline::stop()):
 //   1. shard rings drain, shard batchers flush — on the shard threads;
 //   2. finish() marks producers done; appraiser workers drain their
-//      rings dry, fold their flows, and exit;
-//   3. the caller's thread merges the disjoint verdict maps.
+//      rings dry and exit;
+//   3. the caller's thread finalises every flow's transcript into one
+//      verdict map (flow slices are disjoint).
 // Verdicts for evidence deferred to the very last batch therefore can
 // never be dropped, at any batch size or packet count.
 #pragma once
@@ -35,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "pipeline/reassembler.h"
@@ -52,8 +54,8 @@ struct AppraiserOptions {
   /// Pin worker i to core pin_base + i (affinity.h); < 0 = no pinning.
   int pin_base = -1;
   /// Streaming mode: when set, each appraised record is handed to this
-  /// hook on the worker thread instead of being bucketed for the
-  /// per-flow fold. This is the long-running-server path — verdicts go
+  /// hook on the worker thread instead of being folded into its flow's
+  /// transcript. This is the long-running-server path — verdicts go
   /// out per round, so per-flow state must not accumulate and finish()
   /// yields an empty verdict map. The hook may be called concurrently
   /// from different workers (never twice concurrently for one flow).
@@ -80,7 +82,7 @@ class ParallelAppraiser final : public EvidenceSink {
   /// only after finish() (late evidence is dropped and counted).
   bool accept(std::uint32_t producer, EvidenceItem&& item) override;
 
-  /// Drain, fold, join, merge. Call after every producer stopped
+  /// Drain, join, finalise, merge. Call after every producer stopped
   /// emitting (PeraPipeline::stop() returned). Idempotent.
   void finish();
 
@@ -106,13 +108,13 @@ class ParallelAppraiser final : public EvidenceSink {
 
  private:
   struct WorkerState {
-    // Flow buckets: verified records awaiting the per-flow fold.
-    std::map<std::uint64_t, std::vector<AppraisedRecord>> flows;
-    std::map<std::uint64_t, FlowVerdict> verdicts;
+    // One running fold per flow; records are folded as they are popped.
+    std::unordered_map<std::uint64_t, FlowFold> flows;
     std::uint64_t records = 0;
   };
 
   void run_worker(std::size_t w);
+  void appraise(WorkerState& state, const EvidenceItem& item);
   [[nodiscard]] SpscQueue<EvidenceItem>& ring(std::size_t producer,
                                               std::size_t worker) {
     return *rings_[producer * options_.workers + worker];

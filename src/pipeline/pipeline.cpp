@@ -125,7 +125,7 @@ void PeraPipeline::stop() {
   stop_.store(true, std::memory_order_release);
   // Defined drain order: (1) each worker empties its ring and flushes its
   // batcher on its own thread before run() returns (so streamed evidence
-  // reaches the appraiser rings); (2) the appraiser drains, folds and
+  // reaches the appraiser rings); (2) the appraiser drains, finalises and
   // merges. drain_deferred() here is the idempotent fallback for the
   // inline path (it is empty after a threaded run).
   for (std::thread& t : threads_) {

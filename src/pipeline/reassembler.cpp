@@ -40,22 +40,19 @@ const crypto::Verifier* VerifierSet::by_key_id(
 
 AppraisedRecord appraise_record(const EvidenceItem& item,
                                 const VerifierSet& verifiers) {
-  AppraisedRecord rec;
-  rec.seq = item.seq;
-  rec.shard = item.shard;
+  AppraisedRecord rec{item.seq, item.shard};
   try {
     const copland::EvidencePtr ev = copland::decode(
         crypto::BytesView{item.evidence.data(), item.evidence.size()});
     rec.decoded = true;
     if (ev->kind == copland::EvidenceKind::kSignature && ev->child != nullptr) {
+      rec.content_digest = copland::digest(ev->child);
       if (const crypto::Verifier* v = verifiers.by_key_id(ev->sig.key_id)) {
-        rec.sig_ok =
-            crypto::verify_any(*v, copland::digest(ev->child), ev->sig);
+        rec.sig_ok = crypto::verify_any(*v, rec.content_digest, ev->sig);
       }
-      rec.content = ev->child;
     } else {
-      rec.content = ev;  // unsigned evidence: content-only appraisal
-      rec.sig_ok = true;
+      rec.content_digest = copland::digest(ev);
+      rec.sig_ok = true;  // unsigned evidence: content-only appraisal
     }
   } catch (const std::exception&) {
     return rec;  // decoded=false: counted as a failure by the fold
@@ -63,6 +60,39 @@ AppraisedRecord appraise_record(const EvidenceItem& item,
   PERA_OBS_COUNT(rec.sig_ok ? "pipeline.appraise.sig_ok"
                             : "pipeline.appraise.sig_fail");
   return rec;
+}
+
+FlowFold::FlowFold(nac::CompositionMode mode) : mode_(mode) {
+  transcript_.update(mode_ == nac::CompositionMode::kChained
+                         ? "pera.pipeline.chained"
+                         : "pera.pipeline.pointwise");
+}
+
+void FlowFold::add(const AppraisedRecord& rec) {
+  ++records_;
+  if (!rec.decoded || !rec.sig_ok) {
+    ok_ = false;
+    ++failures_;
+  }
+  if (!rec.decoded) return;
+  // Fold the signed content (shard-key independent) into the transcript.
+  transcript_.update(rec.content_digest);
+  if (mode_ == nac::CompositionMode::kPointwise) {
+    const std::uint8_t sig_byte = rec.sig_ok ? 1 : 0;
+    transcript_.update(crypto::BytesView{&sig_byte, 1});
+  }
+}
+
+FlowVerdict FlowFold::finish(std::uint64_t flow) {
+  if (mode_ == nac::CompositionMode::kChained) {
+    const std::uint8_t ok_byte = ok_ ? 1 : 0;
+    transcript_.update(crypto::BytesView{&ok_byte, 1});
+  }
+  const FlowVerdict verdict{flow, records_, failures_, ok_,
+                            transcript_.finish()};
+  PERA_OBS_EVENT(obs::SpanKind::kAppraise, "pipeline", 0,
+                 verdict.ok ? 1 : 0);
+  return verdict;
 }
 
 FlowVerdict fold_flow(std::uint64_t flow,
@@ -77,50 +107,9 @@ FlowVerdict fold_flow(std::uint64_t flow,
                      if (a.seq != b.seq) return a.seq < b.seq;
                      return a.shard < b.shard;
                    });
-
-  FlowVerdict verdict;
-  verdict.flow = flow;
-  verdict.records = records.size();
-  verdict.ok = true;
-
-  copland::EvidencePtr chain = copland::Evidence::empty();
-  crypto::Sha256 pointwise;
-  pointwise.update("pera.pipeline.pointwise");
-
-  for (const AppraisedRecord& rec : records) {
-    if (!rec.decoded) {
-      verdict.ok = false;
-      ++verdict.signature_failures;
-      continue;
-    }
-    if (!rec.sig_ok) {
-      verdict.ok = false;
-      ++verdict.signature_failures;
-    }
-    // Fold the signed content (shard-key independent) into the flow
-    // transcript under the policy's composition mode.
-    if (mode == nac::CompositionMode::kChained) {
-      chain = copland::Evidence::extend(chain, rec.content);
-    } else {
-      pointwise.update(copland::digest(rec.content));
-      pointwise.update(crypto::BytesView{
-          reinterpret_cast<const std::uint8_t*>(&rec.sig_ok), 1});
-    }
-  }
-
-  if (mode == nac::CompositionMode::kChained) {
-    crypto::Sha256 h;
-    h.update("pera.pipeline.chained");
-    h.update(copland::digest(chain));
-    const std::uint8_t ok_byte = verdict.ok ? 1 : 0;
-    h.update(crypto::BytesView{&ok_byte, 1});
-    verdict.transcript = h.finish();
-  } else {
-    verdict.transcript = pointwise.finish();
-  }
-  PERA_OBS_EVENT(obs::SpanKind::kAppraise, "pipeline", 0,
-                 verdict.ok ? 1 : 0);
-  return verdict;
+  FlowFold fold(mode);
+  for (const AppraisedRecord& rec : records) fold.add(rec);
+  return fold.finish(flow);
 }
 
 ShardedAppraiser::ShardedAppraiser(const crypto::Digest& root_key,

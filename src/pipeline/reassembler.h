@@ -1,29 +1,23 @@
 // Appraiser-side reassembly of shard-interleaved evidence streams.
 //
-// Shards emit evidence records in their own local order, so what reaches
-// the appraiser is an interleaving across flows. Appraisal buckets
-// records per flow, restores per-flow order by dispatcher sequence
-// number, verifies each signature against the per-shard device keys
-// (derived from the same root the pipeline used), and folds the per-flow
-// composition — chained (Seq) or pointwise (§5.2, Fig. 4).
+// Appraisal verifies each record's signature against the per-shard device
+// keys (derived from the same root the pipeline used) and folds it into
+// its flow's running transcript (FlowFold: O(1) state per flow, no
+// buffered records) under the policy's composition mode (§5.2, Fig. 4):
+//   chained    H("pera.pipeline.chained"   ‖ d₁ ‖ … ‖ dₙ ‖ ok)
+//   pointwise  H("pera.pipeline.pointwise" ‖ d₁ ‖ s₁ ‖ … ‖ dₙ ‖ sₙ)
+// dᵢ is the digest of record i's *signed content* (the evidence under the
+// signature node) in sequence order, sᵢ its verification outcome; a
+// record that fails to decode adds no digest but clears `ok`. Signature
+// bytes stay out: shard keys differ by shard, so only content-covering
+// transcripts are shard-count invariant.
 //
-// Two drivers share one appraisal core (appraise_record + fold_flow, so
-// their verdicts are bit-identical by construction):
-//
-//  * ShardedAppraiser — the serial reference: ingest everything, then
-//    appraise. Deterministic, single-threaded, used by the equivalence
-//    tests as the fixed point.
-//  * ParallelAppraiser (appraiser.h) — per-shard appraiser workers that
-//    verify concurrently while the pipeline is still running, with a
-//    deterministic merge.
-//
-// The per-flow transcript digest deliberately covers only the *signed
-// content* (the evidence under the signature node) plus the verification
-// outcome, not the signature bytes: shard keys differ by shard, so the
-// same flow processed by shard 0 (at 1 shard) or shard 3 (at 4 shards)
-// yields different signatures over bit-identical content. That is what
-// makes verdicts shard-count invariant — the property the determinism
-// tests pin down.
+// Two appraisers share this core, so their verdicts are bit-identical by
+// construction: ShardedAppraiser, the serial reference, buffers
+// everything and fold_flow()s each flow after a sort by sequence number;
+// ParallelAppraiser (appraiser.h) folds each record as it pops it, which
+// is already sequence order (ShardWorker emits in order, a flow never
+// splits across shards, rings are FIFO).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "crypto/signer.h"
 #include "nac/binder.h"
 #include "pipeline/worker.h"
@@ -69,20 +64,38 @@ class VerifierSet {
 };
 
 /// One evidence record after signature verification, ready for the
-/// per-flow fold. `content` is the evidence under the signature node
-/// (or the whole term for unsigned records); null when decoding failed.
+/// per-flow fold. `content_digest` is copland::digest() of the evidence
+/// under the signature node (or of the whole term for unsigned records);
+/// meaningful only when `decoded`.
 struct AppraisedRecord {
   std::uint64_t seq = 0;
   std::uint32_t shard = 0;
   bool decoded = false;
   bool sig_ok = false;
-  copland::EvidencePtr content;
+  crypto::Digest content_digest{};
 };
 
 /// Decode + verify one evidence item (the parallelizable per-record
 /// work). Counts pipeline.appraise.sig_ok/.sig_fail.
 [[nodiscard]] AppraisedRecord appraise_record(const EvidenceItem& item,
                                               const VerifierSet& verifiers);
+
+/// The running per-flow appraisal: add() each record in fold order, then
+/// finish() once.
+class FlowFold {
+ public:
+  explicit FlowFold(nac::CompositionMode mode);
+
+  void add(const AppraisedRecord& rec);
+  [[nodiscard]] FlowVerdict finish(std::uint64_t flow);
+
+ private:
+  nac::CompositionMode mode_;
+  crypto::Sha256 transcript_;
+  std::size_t records_ = 0;
+  std::size_t failures_ = 0;
+  bool ok_ = true;
+};
 
 /// Order `records` by (seq, shard) — stable, so same-packet records keep
 /// their emission order — and fold them into the flow verdict under

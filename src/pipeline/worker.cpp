@@ -118,38 +118,39 @@ void ShardWorker::process(PacketJob job) {
     (void)recycle_.try_push(std::move(job.raw.data));
   }
 
-  // In-band evidence surfaces on the carrier immediately. The carrier is
-  // packet-local, so its record buffers move out instead of copying.
+  // Records leave in sequence order through one FIFO. In-band evidence
+  // is ready now (the carrier is packet-local, so its buffers move out);
+  // every remaining attestation went out of band and will surface as
+  // exactly one record — now, or later when the batcher flushes — so it
+  // holds a slot, filled in the FIFO order the batcher preserves.
   for (nac::EvidenceRecord& rec : carrier.records) {
-    emit(EvidenceItem{job.flow, job.seq, id_, std::move(rec.evidence),
-                      job.header->nonce});
+    pending_.push_back({{job.flow, job.seq, id_, std::move(rec.evidence),
+                         job.header->nonce},
+                        true});
   }
-  // Every remaining attestation went out of band and will surface as
-  // exactly one record — now, or later when the batcher flushes. Tag them
-  // (flow, seq) in FIFO order, which the batcher preserves. (With a
-  // batcher configured, signed OOB evidence is uniformly batched, so
-  // immediate and deferred records never interleave across packets.)
   const std::uint64_t delta =
       switch_.ra_stats().attestations - attested_before;
-  const std::uint64_t oob = delta - carrier.records.size();
-  for (std::uint64_t k = 0; k < oob; ++k) {
-    deferred_.emplace_back(job.flow, job.seq);
+  for (std::uint64_t k = carrier.records.size(); k < delta; ++k) {
+    pending_.push_back({{job.flow, job.seq, id_, {}, {}}, false});
   }
-  for (::pera::pera::OutOfBandEvidence& oob_ev : res.out_of_band) {
-    const auto [flow, seq] = deferred_.front();
-    deferred_.pop_front();
-    emit(EvidenceItem{flow, seq, id_, std::move(oob_ev.evidence),
-                      oob_ev.nonce});
+  release(std::move(res.out_of_band));
+}
+
+void ShardWorker::release(std::vector<::pera::pera::OutOfBandEvidence> oob) {
+  auto slot = pending_.begin();
+  for (::pera::pera::OutOfBandEvidence& ev : oob) {
+    while (slot->ready) ++slot;
+    slot->item.evidence = std::move(ev.evidence);
+    slot->item.nonce = ev.nonce;
+    slot->ready = true;
+  }
+  while (!pending_.empty() && pending_.front().ready) {
+    emit(std::move(pending_.front().item));
+    pending_.pop_front();
   }
 }
 
-void ShardWorker::drain_deferred() {
-  for (::pera::pera::OutOfBandEvidence& oob : switch_.flush_pending()) {
-    const auto [flow, seq] = deferred_.front();
-    deferred_.pop_front();
-    emit(EvidenceItem{flow, seq, id_, std::move(oob.evidence), oob.nonce});
-  }
-}
+void ShardWorker::drain_deferred() { release(switch_.flush_pending()); }
 
 ShardReport ShardWorker::report() const {
   ShardReport r = report_;

@@ -16,11 +16,13 @@
 //
 // Evidence leaves a shard one of two ways: buffered locally in
 // `evidence_` (post-run collection), or streamed into an EvidenceSink
-// (the parallel appraiser) the moment it is produced. The end-of-stream
-// drain order is fixed: a worker first empties its ingress ring, then
-// flushes its batcher's deferred evidence — both *on the worker thread*,
-// before run() returns — so every record reaches the sink before the
-// appraiser side is allowed to finish (see PeraPipeline::stop()).
+// (the parallel appraiser) as it is produced — either way in dispatcher
+// sequence order: records queue behind out-of-band evidence still
+// deferred in the batcher. The end-of-stream drain order is fixed: a
+// worker first empties its ingress ring, then flushes its batcher's
+// deferred evidence — both *on the worker thread*, before run() returns —
+// so every record reaches the sink before the appraiser side is allowed
+// to finish (see PeraPipeline::stop()).
 #pragma once
 
 #include <atomic>
@@ -48,8 +50,8 @@ struct PacketJob {
   netsim::SimTime arrival = 0;
 };
 
-/// One evidence record leaving a shard, tagged for reassembly: the
-/// appraiser reorders shard-interleaved streams per flow by (flow, seq).
+/// One evidence record leaving a shard, tagged for reassembly: (flow, seq)
+/// orders a flow's records however shard streams interleave.
 struct EvidenceItem {
   std::uint64_t flow = 0;
   std::uint64_t seq = 0;
@@ -133,6 +135,13 @@ class ShardWorker {
  private:
   void sync_epoch();
   void emit(EvidenceItem&& item);
+  /// Fill the oldest open slots with `oob`, then emit the ready prefix.
+  void release(std::vector<::pera::pera::OutOfBandEvidence> oob);
+
+  struct Pending {  // out-of-band slots stay !ready until the batcher flushes
+    EvidenceItem item;
+    bool ready = false;
+  };
 
   std::uint32_t id_;
   std::unique_ptr<crypto::Signer> signer_;
@@ -151,7 +160,7 @@ class ShardWorker {
   ShardReport report_;
   std::vector<EvidenceItem> evidence_;
   std::vector<netsim::SimTime> latencies_;
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> deferred_;  // flow,seq
+  std::deque<Pending> pending_;  // emission FIFO, front = oldest
 };
 
 }  // namespace pera::pipeline

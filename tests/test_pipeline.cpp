@@ -4,7 +4,9 @@
 // (the threaded tests are the TSan targets wired into scripts/check.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -567,6 +569,165 @@ TEST(PipelineDrainOrder, FinalBatchVerdictsSurviveTinyStreams) {
           << "batch " << batch << " packets " << packets;
     }
   }
+}
+
+// --- streaming fold -------------------------------------------------------------
+
+/// One in-band and one out-of-band wildcard hop: every packet emits a
+/// carrier record at once and a record the batcher may defer.
+nac::PolicyHeader make_mixed_header() {
+  nac::HopInstruction inband;
+  inband.detail = nac::mask_of(nac::EvidenceDetail::kProgram);
+  inband.sign_evidence = true;
+  inband.wildcard = true;
+  nac::HopInstruction oob = inband;
+  oob.out_of_band = true;
+  nac::CompiledPolicy pol;
+  pol.hops = {inband, oob};
+  pol.appraiser = "Appraiser";
+  return nac::make_header(pol, crypto::Nonce{crypto::sha256("n")}, true);
+}
+
+/// A decoded, verified record whose content digest encodes `seq`.
+AppraisedRecord synthetic_record(std::uint64_t seq) {
+  AppraisedRecord r;
+  r.seq = seq;
+  r.decoded = true;
+  r.sig_ok = true;
+  std::memcpy(r.content_digest.v.data(), &seq, sizeof(seq));
+  return r;
+}
+
+TEST(PipelineStreamingFold, ShardEmitsEachFlowInSeqOrder) {
+  // Regression: in-band records used to leave the shard at once while
+  // out-of-band records of earlier packets still waited in the batcher,
+  // so a flow's records reached the appraiser out of order and the
+  // streaming fold diverged from the sorted serial fold.
+  const std::vector<dataplane::RawPacket> stream = make_stream(16, 2);
+  const nac::PolicyHeader hdr = make_mixed_header();
+  ::pera::pera::PeraConfig cfg;
+  cfg.oob_batch_size = 4;
+  const RunResult serial = run_pipeline(1, stream, hdr, cfg);
+  const RunResult par = run_parallel(1, 1, stream, hdr, cfg);
+  EXPECT_EQ(par.summary, serial.summary);
+  std::size_t records = 0;
+  for (const auto& [flow, v] : par.verdicts) {
+    records += v.records;
+    EXPECT_TRUE(v.ok) << "flow " << flow;
+  }
+  EXPECT_EQ(records, 32u);
+
+  // The emission order itself, before any reassembly sort.
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.pera = cfg;
+  opt.drop_on_full = false;
+  PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
+  pipe.start();
+  for (const dataplane::RawPacket& raw : stream) (void)pipe.submit(raw, &hdr);
+  pipe.stop();
+  const std::vector<EvidenceItem>& emitted = pipe.worker(0).evidence();
+  ASSERT_EQ(emitted.size(), 32u);
+  EXPECT_TRUE(std::is_sorted(
+      emitted.begin(), emitted.end(),
+      [](const EvidenceItem& a, const EvidenceItem& b) {
+        return a.seq < b.seq;
+      }));
+}
+
+TEST(PipelineTranscript, ChainedTranscriptBindsRecordOrder) {
+  std::vector<AppraisedRecord> ordered = {
+      synthetic_record(0), synthetic_record(1), synthetic_record(2)};
+  std::vector<AppraisedRecord> swapped = ordered;
+  std::swap(swapped[0].content_digest, swapped[1].content_digest);
+  const FlowVerdict a =
+      fold_flow(1, ordered, nac::CompositionMode::kChained);
+  const FlowVerdict b =
+      fold_flow(1, swapped, nac::CompositionMode::kChained);
+  EXPECT_TRUE(a.ok);
+  EXPECT_TRUE(b.ok);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_NE(a.transcript, b.transcript);
+}
+
+TEST(PipelineTranscript, UndecodableRecordCountsAndClearsOk) {
+  const std::vector<dataplane::RawPacket> stream = make_stream(8, 1);
+  const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
+  const RunResult clean = run_pipeline(1, stream, hdr);
+  ASSERT_EQ(clean.evidence.size(), 8u);
+  ASSERT_EQ(clean.verdicts.size(), 1u);
+  ASSERT_TRUE(clean.verdicts.begin()->second.ok);
+
+  const std::string label = PipelineOptions{}.shard_key_label;
+  EvidenceItem garbage = clean.evidence.back();
+  garbage.seq += 1;
+  garbage.evidence = crypto::Bytes{0xDE, 0xAD, 0xBE, 0xEF};
+  const VerifierSet verifiers(root_key(), label, 8);
+  EXPECT_FALSE(appraise_record(garbage, verifiers).decoded);
+
+  ShardedAppraiser appraiser(root_key(), label, 8);
+  appraiser.ingest(clean.evidence);
+  appraiser.ingest(garbage);
+  const auto verdicts = appraiser.appraise();
+  ASSERT_EQ(verdicts.size(), 1u);
+  const FlowVerdict& v = verdicts.begin()->second;
+  EXPECT_EQ(v.records, 9u);
+  EXPECT_EQ(v.signature_failures, 1u);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.transcript, clean.verdicts.begin()->second.transcript);
+}
+
+TEST(PipelineTranscript, PointwiseTranscriptBytesAreStable) {
+  // A pinned value: the pointwise transcript bytes are part of the
+  // verdict format, so no change to how records are folded may move them.
+  const RunResult r =
+      run_pipeline(1, make_stream(32, 4),
+                   make_policy_header(/*out_of_band=*/true), {},
+                   nac::CompositionMode::kPointwise);
+  EXPECT_EQ(r.summary.hex(), "4fc6d20e988b2fdc613c1508dbf66e8535356f69b1306fde3755b3e96876b9c2");
+}
+
+TEST(PipelineLongFlow, OneFlowOfManyPacketsFoldsToOneVerdict) {
+  // Regression: chained appraisal used to build one left-deep evidence
+  // term per flow and walk it recursively, which overflowed the stack on
+  // a single long flow. The running transcript is O(1) state per flow.
+  constexpr std::size_t kPackets = 150'000;
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.appraisers = 1;
+  opt.drop_on_full = false;
+  PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
+  pipe.start();
+  const dataplane::RawPacket pkt = make_tcp_packet({});
+  const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
+  for (std::size_t i = 0; i < kPackets; ++i) (void)pipe.submit(pkt, &hdr);
+  pipe.stop();
+  const std::map<std::uint64_t, FlowVerdict>& verdicts =
+      pipe.appraiser()->verdicts();
+  ASSERT_EQ(verdicts.size(), 1u);
+  const FlowVerdict& v = verdicts.begin()->second;
+  EXPECT_TRUE(v.ok);
+  EXPECT_EQ(v.records, kPackets);
+  EXPECT_EQ(v.signature_failures, 0u);
+}
+
+TEST(PipelineLongFlow, FoldFlowOverAMillionRecords) {
+  constexpr std::size_t kRecords = 1'000'000;
+  std::vector<AppraisedRecord> records;
+  records.reserve(kRecords);
+  FlowFold in_order(nac::CompositionMode::kChained);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    in_order.add(synthetic_record(i));
+  }
+  // Hand fold_flow the records newest first: it must restore seq order.
+  for (std::size_t i = kRecords; i-- > 0;) {
+    records.push_back(synthetic_record(i));
+  }
+  const FlowVerdict v =
+      fold_flow(7, records, nac::CompositionMode::kChained);
+  EXPECT_TRUE(v.ok);
+  EXPECT_EQ(v.records, kRecords);
+  EXPECT_EQ(v.transcript, in_order.finish(7).transcript);
 }
 
 // --- buffer pool ----------------------------------------------------------------
