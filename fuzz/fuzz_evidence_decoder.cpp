@@ -1,37 +1,52 @@
 // Fuzz harness for every wire decoder an attacker can reach over the
-// network: the Copland evidence codec and the challenge / evidence /
-// nonce message formats. The invariant: arbitrary bytes either decode or
-// throw a std::exception — never a crash, hang, or out-of-bounds read.
+// network: the Copland evidence codec, the challenge / evidence / nonce
+// message formats, the in-band policy header and evidence carrier, and
+// the signature formats (plain, Merkle proof, XMSS) plus endorsements.
+// The invariant: arbitrary bytes either decode or throw
+// std::invalid_argument — never another exception, a crash, a hang, or an
+// out-of-bounds read.
 //
 // Built by -DPERA_FUZZ=ON: with libFuzzer under clang, or with the
 // standalone replay/mutation driver (standalone_driver.cpp) elsewhere.
-// Seed corpus: tests/fixtures/fuzz/*.bin (genuine serialized messages).
+// Seed corpus: tests/fixtures/fuzz/*.bin (genuine serialized messages,
+// plus evidence_deep_seq.bin: 100 KB of nested seq tags).
 #include <cstddef>
 #include <cstdint>
-#include <exception>
+#include <stdexcept>
 
 #include "copland/evidence.h"
 #include "core/wire.h"
 #include "crypto/bytes.h"
+#include "crypto/merkle.h"
+#include "crypto/signer.h"
+#include "nac/header.h"
+#include "ra/endorsement.h"
+
+namespace {
+
+template <typename Fn>
+void decode_or_reject(Fn&& fn) {
+  try {
+    (void)fn();
+  } catch (const std::invalid_argument&) {
+  }
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  const pera::crypto::BytesView view{data, size};
-  try {
-    (void)pera::copland::decode(view);
-  } catch (const std::exception&) {
-  }
-  try {
-    (void)pera::core::Challenge::deserialize(view);
-  } catch (const std::exception&) {
-  }
-  try {
-    (void)pera::core::EvidenceMsg::deserialize(view);
-  } catch (const std::exception&) {
-  }
-  try {
-    (void)pera::core::NonceMsg::deserialize(view);
-  } catch (const std::exception&) {
-  }
+  using namespace pera;
+  const crypto::BytesView view{data, size};
+  decode_or_reject([&] { return copland::decode(view); });
+  decode_or_reject([&] { return core::Challenge::deserialize(view); });
+  decode_or_reject([&] { return core::EvidenceMsg::deserialize(view); });
+  decode_or_reject([&] { return core::NonceMsg::deserialize(view); });
+  decode_or_reject([&] { return nac::PolicyHeader::deserialize(view); });
+  decode_or_reject([&] { return nac::EvidenceCarrier::deserialize(view); });
+  decode_or_reject([&] { return ra::Endorsement::deserialize(view); });
+  decode_or_reject([&] { return crypto::Signature::deserialize(view); });
+  decode_or_reject([&] { return crypto::MerkleProof::deserialize(view); });
+  decode_or_reject([&] { return crypto::XmssSignature::deserialize(view); });
   return 0;
 }

@@ -7,14 +7,14 @@
 //     sequence and the same poisoned/clean outcome (torn-read
 //     invariance, checked differentially on every input).
 //   * Quote / Hello / HelloAck / ChallengeFrame deserializers decode or
-//     throw std::exception — nothing else.
+//     throw std::invalid_argument — nothing else.
 //
 // Built by -DPERA_FUZZ=ON: libFuzzer under clang, the standalone
 // replay/mutation driver elsewhere. Seed corpus:
 // tests/fixtures/fuzz/net_*.bin (genuine framed handshake bytes).
 #include <cstddef>
 #include <cstdint>
-#include <exception>
+#include <stdexcept>
 #include <vector>
 
 #include "crypto/bytes.h"
@@ -65,19 +65,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto poke = [](pera::crypto::BytesView bytes) {
     try {
       (void)pera::net::Quote::deserialize(bytes);
-    } catch (const std::exception&) {
+    } catch (const std::invalid_argument&) {
     }
     try {
       (void)pera::net::HelloMsg::deserialize(bytes);
-    } catch (const std::exception&) {
+    } catch (const std::invalid_argument&) {
     }
     try {
       (void)pera::net::HelloAckMsg::deserialize(bytes);
-    } catch (const std::exception&) {
+    } catch (const std::invalid_argument&) {
     }
     try {
       (void)pera::net::ChallengeFrame::deserialize(bytes);
-    } catch (const std::exception&) {
+    } catch (const std::invalid_argument&) {
     }
   };
   poke(pera::crypto::BytesView{data, size});

@@ -30,11 +30,11 @@ echo "== fuzz smoke (policy parser + wire decoders) =="
 build/fuzz/fuzz_copland_parser -max_total_time=15 -runs=200000 \
   tests/fixtures/verify
 build/fuzz/fuzz_evidence_decoder -max_total_time=15 -runs=200000 \
-  tests/fixtures/fuzz
+  -max_len=1048581 tests/fixtures/fuzz
 build/fuzz/fuzz_frame_codec -max_total_time=15 -runs=200000 \
-  tests/fixtures/fuzz
+  -max_len=1048581 tests/fixtures/fuzz
 build/fuzz/fuzz_evidence_payload -max_total_time=15 -runs=200000 \
-  tests/fixtures/fuzz
+  -max_len=1048581 tests/fixtures/fuzz
 
 for b in build/bench/bench_*; do
   # bench_throughput, bench_crypto, bench_ctrl and bench_state write their

@@ -16,37 +16,6 @@ std::shared_ptr<Evidence> make(EvidenceKind k) {
   return e;
 }
 
-void encode_string(Bytes& out, const std::string& s) {
-  crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  crypto::append(out, crypto::as_bytes(s));
-}
-
-std::string decode_string(BytesView data, std::size_t& off) {
-  const std::uint32_t len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + len > data.size()) {
-    throw std::invalid_argument("evidence decode: truncated string");
-  }
-  std::string s(reinterpret_cast<const char*>(data.data() + off), len);
-  off += len;
-  return s;
-}
-
-Digest decode_digest(BytesView data, std::size_t& off) {
-  if (off + 32 > data.size()) {
-    throw std::invalid_argument("evidence decode: truncated digest");
-  }
-  Digest d;
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off + 32), d.v.begin());
-  off += 32;
-  return d;
-}
-
-void encode_rec(const EvidencePtr& e, Bytes& out);
-
-EvidencePtr decode_rec(BytesView data, std::size_t& off);
-
 void encode_rec(const EvidencePtr& e, Bytes& out) {
   if (!e) throw std::invalid_argument("evidence encode: null node");
   out.push_back(static_cast<std::uint8_t>(e->kind));
@@ -54,25 +23,24 @@ void encode_rec(const EvidencePtr& e, Bytes& out) {
     case EvidenceKind::kEmpty:
       return;
     case EvidenceKind::kMeasurement:
-      encode_string(out, e->asp);
-      encode_string(out, e->place);
-      encode_string(out, e->target);
+      crypto::append_str(out, e->asp);
+      crypto::append_str(out, e->place);
+      crypto::append_str(out, e->target);
       crypto::append(out, e->value);
-      encode_string(out, e->claim);
+      crypto::append_str(out, e->claim);
       return;
     case EvidenceKind::kNonce:
       crypto::append(out, e->nonce.value);
       return;
     case EvidenceKind::kSignature: {
-      encode_string(out, e->place);
+      crypto::append_str(out, e->place);
       const Bytes sig = e->sig.serialize();
-      crypto::append_u32(out, static_cast<std::uint32_t>(sig.size()));
-      crypto::append(out, BytesView{sig.data(), sig.size()});
+      crypto::append_blob(out, BytesView{sig.data(), sig.size()});
       encode_rec(e->child, out);
       return;
     }
     case EvidenceKind::kHashed:
-      encode_string(out, e->place);
+      crypto::append_str(out, e->place);
       crypto::append(out, e->hash_value);
       return;
     case EvidenceKind::kSeq:
@@ -81,81 +49,67 @@ void encode_rec(const EvidencePtr& e, Bytes& out) {
       encode_rec(e->right, out);
       return;
     case EvidenceKind::kFuncOut:
-      encode_string(out, e->func);
-      encode_string(out, e->place);
-      crypto::append_u32(out, static_cast<std::uint32_t>(e->output.size()));
-      crypto::append(out, BytesView{e->output.data(), e->output.size()});
+      crypto::append_str(out, e->func);
+      crypto::append_str(out, e->place);
+      crypto::append_blob(out, BytesView{e->output.data(), e->output.size()});
       encode_rec(e->child, out);
       return;
   }
   throw std::invalid_argument("evidence encode: unknown kind");
 }
 
-EvidencePtr decode_rec(BytesView data, std::size_t& off) {
-  if (off >= data.size()) {
-    throw std::invalid_argument("evidence decode: truncated node");
-  }
-  const auto kind = static_cast<EvidenceKind>(data[off++]);
+// `depth` counts the nodes on the path from the root to this one.
+EvidencePtr decode_rec(crypto::ByteReader& r, std::size_t depth) {
+  if (depth > kMaxEvidenceDepth) r.fail("nesting exceeds depth budget");
+  const auto kind = static_cast<EvidenceKind>(r.u8());
   switch (kind) {
     case EvidenceKind::kEmpty:
       return Evidence::empty();
     case EvidenceKind::kMeasurement: {
       auto e = make(EvidenceKind::kMeasurement);
-      e->asp = decode_string(data, off);
-      e->place = decode_string(data, off);
-      e->target = decode_string(data, off);
-      e->value = decode_digest(data, off);
-      e->claim = decode_string(data, off);
+      e->asp = r.str();
+      e->place = r.str();
+      e->target = r.str();
+      e->value = r.digest();
+      e->claim = r.str();
       return e;
     }
     case EvidenceKind::kNonce: {
       auto e = make(EvidenceKind::kNonce);
-      e->nonce.value = decode_digest(data, off);
+      e->nonce.value = r.digest();
       return e;
     }
     case EvidenceKind::kSignature: {
       auto e = make(EvidenceKind::kSignature);
-      e->place = decode_string(data, off);
-      const std::uint32_t sig_len = crypto::read_u32(data, off);
-      off += 4;
-      if (off + sig_len > data.size()) {
-        throw std::invalid_argument("evidence decode: truncated signature");
-      }
-      e->sig = crypto::Signature::deserialize(data.subspan(off, sig_len));
-      off += sig_len;
-      e->child = decode_rec(data, off);
+      e->place = r.str();
+      e->sig = crypto::Signature::deserialize(r.blob());
+      e->child = decode_rec(r, depth + 1);
       return e;
     }
     case EvidenceKind::kHashed: {
       auto e = make(EvidenceKind::kHashed);
-      e->place = decode_string(data, off);
-      e->hash_value = decode_digest(data, off);
+      e->place = r.str();
+      e->hash_value = r.digest();
       return e;
     }
     case EvidenceKind::kSeq:
     case EvidenceKind::kPar: {
       auto e = make(kind);
-      e->left = decode_rec(data, off);
-      e->right = decode_rec(data, off);
+      e->left = decode_rec(r, depth + 1);
+      e->right = decode_rec(r, depth + 1);
       return e;
     }
     case EvidenceKind::kFuncOut: {
       auto e = make(EvidenceKind::kFuncOut);
-      e->func = decode_string(data, off);
-      e->place = decode_string(data, off);
-      const std::uint32_t out_len = crypto::read_u32(data, off);
-      off += 4;
-      if (off + out_len > data.size()) {
-        throw std::invalid_argument("evidence decode: truncated output");
-      }
-      e->output.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                       data.begin() + static_cast<std::ptrdiff_t>(off + out_len));
-      off += out_len;
-      e->child = decode_rec(data, off);
+      e->func = r.str();
+      e->place = r.str();
+      const BytesView out = r.blob();
+      e->output.assign(out.begin(), out.end());
+      e->child = decode_rec(r, depth + 1);
       return e;
     }
   }
-  throw std::invalid_argument("evidence decode: unknown kind byte");
+  r.fail("unknown kind byte");
 }
 
 }  // namespace
@@ -235,11 +189,9 @@ Bytes encode(const EvidencePtr& e) {
 }
 
 EvidencePtr decode(BytesView data) {
-  std::size_t off = 0;
-  EvidencePtr e = decode_rec(data, off);
-  if (off != data.size()) {
-    throw std::invalid_argument("evidence decode: trailing bytes");
-  }
+  crypto::ByteReader r(data, "evidence decode");
+  EvidencePtr e = decode_rec(r, 1);
+  r.finish();
   return e;
 }
 

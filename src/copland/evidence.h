@@ -82,8 +82,15 @@ struct Evidence {
 /// Canonical byte encoding (self-delimiting, deterministic).
 [[nodiscard]] crypto::Bytes encode(const EvidencePtr& e);
 
+/// Deepest evidence tree decode() accepts, counted in nodes from the root
+/// to a leaf. Decoding recurses once per level, so attacker-supplied
+/// nesting (a buffer of `seq` tags) must stop here, well inside any
+/// thread's stack.
+inline constexpr std::size_t kMaxEvidenceDepth = 256;
+
 /// Decode evidence from its canonical encoding.
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input, including trees
+/// deeper than kMaxEvidenceDepth.
 [[nodiscard]] EvidencePtr decode(crypto::BytesView data);
 
 /// Digest of the canonical encoding — the value `!` signs and `#` keeps.

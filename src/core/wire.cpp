@@ -1,7 +1,5 @@
 #include "core/wire.h"
 
-#include <stdexcept>
-
 #include "obs/obs.h"
 
 namespace pera::core {
@@ -12,13 +10,11 @@ using crypto::BytesView;
 void FlowBundle::to_message(netsim::Message& msg) const {
   msg.headers.clear();
   const Bytes policy_bytes = policy ? policy->serialize() : Bytes{};
-  crypto::append_u32(msg.headers, static_cast<std::uint32_t>(policy_bytes.size()));
-  crypto::append(msg.headers, BytesView{policy_bytes.data(), policy_bytes.size()});
+  crypto::append_blob(msg.headers,
+                      BytesView{policy_bytes.data(), policy_bytes.size()});
   const Bytes carrier_bytes = carrier.serialize();
-  crypto::append_u32(msg.headers,
-                     static_cast<std::uint32_t>(carrier_bytes.size()));
-  crypto::append(msg.headers,
-                 BytesView{carrier_bytes.data(), carrier_bytes.size()});
+  crypto::append_blob(msg.headers,
+                      BytesView{carrier_bytes.data(), carrier_bytes.size()});
 
   msg.payload.clear();
   crypto::append_u32(msg.payload, raw.port);
@@ -31,27 +27,20 @@ void FlowBundle::to_message(netsim::Message& msg) const {
 
 FlowBundle FlowBundle::from_message(const netsim::Message& msg) {
   FlowBundle b;
-  const BytesView hdr{msg.headers.data(), msg.headers.size()};
-  std::size_t off = 0;
-  const std::uint32_t policy_len = crypto::read_u32(hdr, off);
-  off += 4;
-  if (off + policy_len > hdr.size()) {
-    throw std::invalid_argument("FlowBundle: truncated policy header");
+  crypto::ByteReader hdr(BytesView{msg.headers.data(), msg.headers.size()},
+                         "FlowBundle");
+  const BytesView policy_bytes = hdr.blob();
+  if (!policy_bytes.empty()) {
+    b.policy = nac::PolicyHeader::deserialize(policy_bytes);
   }
-  if (policy_len > 0) {
-    b.policy = nac::PolicyHeader::deserialize(hdr.subspan(off, policy_len));
-  }
-  off += policy_len;
-  const std::uint32_t carrier_len = crypto::read_u32(hdr, off);
-  off += 4;
-  if (off + carrier_len != hdr.size()) {
-    throw std::invalid_argument("FlowBundle: bad carrier length");
-  }
-  b.carrier = nac::EvidenceCarrier::deserialize(hdr.subspan(off, carrier_len));
+  b.carrier = nac::EvidenceCarrier::deserialize(hdr.blob());
+  hdr.finish();
 
-  const BytesView pay{msg.payload.data(), msg.payload.size()};
-  b.raw.port = crypto::read_u32(pay, 0);
-  b.raw.data.assign(pay.begin() + 4, pay.end());
+  crypto::ByteReader pay(BytesView{msg.payload.data(), msg.payload.size()},
+                         "FlowBundle payload");
+  b.raw.port = pay.u32();
+  const BytesView data = pay.bytes(pay.remaining());
+  b.raw.data.assign(data.begin(), data.end());
   PERA_OBS_COUNT("wire.flow_bundle.decoded_bytes",
                  msg.headers.size() + msg.payload.size());
   PERA_OBS_EVENT(obs::SpanKind::kWireDecode, "flow_bundle", 0,
@@ -65,49 +54,40 @@ Bytes Challenge::serialize() const {
   out.push_back(detail);
   out.push_back(hash_before_sign ? 1 : 0);
   out.push_back(in_band_reply ? 1 : 0);
-  crypto::append_u32(out, static_cast<std::uint32_t>(appraiser.size()));
-  crypto::append(out, crypto::as_bytes(appraiser));
+  crypto::append_str(out, appraiser);
   PERA_OBS_COUNT("wire.challenge.encoded_bytes", out.size());
   PERA_OBS_EVENT(obs::SpanKind::kWireEncode, "challenge", 0, out.size());
   return out;
 }
 
 Challenge Challenge::deserialize(BytesView data) {
-  if (data.size() < 32 + 3 + 4) {
-    throw std::invalid_argument("Challenge: too short");
-  }
+  crypto::ByteReader r(data, "Challenge");
   Challenge c;
-  std::copy(data.begin(), data.begin() + 32, c.nonce.value.v.begin());
-  c.detail = data[32];
-  c.hash_before_sign = data[33] != 0;
-  c.in_band_reply = data[34] != 0;
-  const std::uint32_t len = crypto::read_u32(data, 35);
-  if (39 + len != data.size()) {
-    throw std::invalid_argument("Challenge: bad appraiser length");
-  }
-  c.appraiser.assign(reinterpret_cast<const char*>(data.data() + 39), len);
+  c.nonce.value = r.digest();
+  c.detail = r.u8();
+  c.hash_before_sign = r.u8() != 0;
+  c.in_band_reply = r.u8() != 0;
+  c.appraiser = r.str();
+  r.finish();
   return c;
 }
 
 Bytes EvidenceMsg::serialize() const {
   Bytes out;
   crypto::append(out, nonce.value);
-  crypto::append_u32(out, static_cast<std::uint32_t>(evidence.size()));
-  crypto::append(out, BytesView{evidence.data(), evidence.size()});
+  crypto::append_blob(out, BytesView{evidence.data(), evidence.size()});
   PERA_OBS_COUNT("wire.evidence.encoded_bytes", out.size());
   PERA_OBS_EVENT(obs::SpanKind::kWireEncode, "evidence", 0, out.size());
   return out;
 }
 
 EvidenceMsg EvidenceMsg::deserialize(BytesView data) {
-  if (data.size() < 36) throw std::invalid_argument("EvidenceMsg: too short");
+  crypto::ByteReader r(data, "EvidenceMsg");
   EvidenceMsg m;
-  std::copy(data.begin(), data.begin() + 32, m.nonce.value.v.begin());
-  const std::uint32_t len = crypto::read_u32(data, 32);
-  if (36 + len != data.size()) {
-    throw std::invalid_argument("EvidenceMsg: bad evidence length");
-  }
-  m.evidence.assign(data.begin() + 36, data.end());
+  m.nonce.value = r.digest();
+  const BytesView ev = r.blob();
+  r.finish();
+  m.evidence.assign(ev.begin(), ev.end());
   PERA_OBS_COUNT("wire.evidence.decoded_bytes", data.size());
   PERA_OBS_EVENT(obs::SpanKind::kWireDecode, "evidence", 0, data.size());
   return m;
@@ -120,9 +100,10 @@ Bytes NonceMsg::serialize() const {
 }
 
 NonceMsg NonceMsg::deserialize(BytesView data) {
-  if (data.size() != 32) throw std::invalid_argument("NonceMsg: bad size");
+  crypto::ByteReader r(data, "NonceMsg");
   NonceMsg m;
-  std::copy(data.begin(), data.end(), m.nonce.value.v.begin());
+  m.nonce.value = r.digest();
+  r.finish();
   return m;
 }
 

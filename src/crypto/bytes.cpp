@@ -58,21 +58,6 @@ void append_u64(Bytes& dst, std::uint64_t x) {
   append_u32(dst, static_cast<std::uint32_t>(x));
 }
 
-std::uint32_t read_u32(BytesView src, std::size_t off) {
-  if (off + 4 > src.size()) {
-    throw std::out_of_range("read_u32: past end of buffer");
-  }
-  return (static_cast<std::uint32_t>(src[off]) << 24) |
-         (static_cast<std::uint32_t>(src[off + 1]) << 16) |
-         (static_cast<std::uint32_t>(src[off + 2]) << 8) |
-         static_cast<std::uint32_t>(src[off + 3]);
-}
-
-std::uint64_t read_u64(BytesView src, std::size_t off) {
-  return (static_cast<std::uint64_t>(read_u32(src, off)) << 32) |
-         read_u32(src, off + 4);
-}
-
 bool ct_equal(BytesView a, BytesView b) {
   if (a.size() != b.size()) return false;
   std::uint8_t acc = 0;

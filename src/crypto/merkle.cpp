@@ -96,17 +96,13 @@ Bytes MerkleProof::serialize() const {
 }
 
 MerkleProof MerkleProof::deserialize(BytesView data) {
+  ByteReader r(data, "MerkleProof::deserialize");
   MerkleProof p;
-  p.leaf_index = read_u64(data, 0);
-  const std::uint32_t n = read_u32(data, 8);
-  if (data.size() != 12 + std::size_t{n} * 32) {
-    throw std::invalid_argument("MerkleProof::deserialize: bad size");
-  }
-  p.siblings.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::copy(data.begin() + 12 + 32 * i, data.begin() + 12 + 32 * (i + 1),
-              p.siblings[i].v.begin());
-  }
+  p.leaf_index = r.u64();
+  const std::size_t n = r.count(32);
+  p.siblings.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) p.siblings.push_back(r.digest());
+  r.finish();
   return p;
 }
 
@@ -148,30 +144,19 @@ Bytes XmssSignature::serialize() const {
   Bytes out;
   append_u64(out, leaf_index);
   const Bytes ots_bytes = ots.serialize();
-  append_u32(out, static_cast<std::uint32_t>(ots_bytes.size()));
-  append(out, BytesView{ots_bytes.data(), ots_bytes.size()});
+  append_blob(out, BytesView{ots_bytes.data(), ots_bytes.size()});
   const Bytes path = auth_path.serialize();
-  append_u32(out, static_cast<std::uint32_t>(path.size()));
-  append(out, BytesView{path.data(), path.size()});
+  append_blob(out, BytesView{path.data(), path.size()});
   return out;
 }
 
 XmssSignature XmssSignature::deserialize(BytesView data) {
+  ByteReader r(data, "XmssSignature::deserialize");
   XmssSignature sig;
-  sig.leaf_index = read_u64(data, 0);
-  const std::uint32_t ots_len = read_u32(data, 8);
-  std::size_t off = 12;
-  if (off + ots_len > data.size()) {
-    throw std::invalid_argument("XmssSignature::deserialize: truncated OTS");
-  }
-  sig.ots = wots::Signature::deserialize(data.subspan(off, ots_len));
-  off += ots_len;
-  const std::uint32_t path_len = read_u32(data, off);
-  off += 4;
-  if (off + path_len != data.size()) {
-    throw std::invalid_argument("XmssSignature::deserialize: bad path size");
-  }
-  sig.auth_path = MerkleProof::deserialize(data.subspan(off, path_len));
+  sig.leaf_index = r.u64();
+  sig.ots = wots::Signature::deserialize(r.blob());
+  sig.auth_path = MerkleProof::deserialize(r.blob());
+  r.finish();
   return sig;
 }
 

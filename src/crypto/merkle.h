@@ -21,6 +21,7 @@ struct MerkleProof {
   std::vector<Digest> siblings;
 
   [[nodiscard]] Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static MerkleProof deserialize(BytesView data);
 };
 
@@ -58,6 +59,7 @@ struct XmssSignature {
   MerkleProof auth_path;
 
   [[nodiscard]] Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static XmssSignature deserialize(BytesView data);
   [[nodiscard]] std::size_t wire_size() const;
 };

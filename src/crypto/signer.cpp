@@ -25,11 +25,9 @@ Signature wrap_batched(const Digest& root, const MerkleProof& proof,
   out.key_id = root_sig.key_id;
   append(out.payload, root);
   const Bytes proof_bytes = proof.serialize();
-  append_u32(out.payload, static_cast<std::uint32_t>(proof_bytes.size()));
-  append(out.payload, BytesView{proof_bytes.data(), proof_bytes.size()});
+  append_blob(out.payload, BytesView{proof_bytes.data(), proof_bytes.size()});
   const Bytes inner = root_sig.serialize();
-  append_u32(out.payload, static_cast<std::uint32_t>(inner.size()));
-  append(out.payload, BytesView{inner.data(), inner.size()});
+  append_blob(out.payload, BytesView{inner.data(), inner.size()});
   return out;
 }
 
@@ -39,26 +37,16 @@ bool verify_any(const Verifier& verifier, const Digest& message,
     return verifier.verify(message, sig);
   }
   try {
-    const BytesView data{sig.payload.data(), sig.payload.size()};
-    if (data.size() < 32) return false;
-    Digest root;
-    std::copy(data.begin(), data.begin() + 32, root.v.begin());
-    std::size_t off = 32;
-    const std::uint32_t proof_len = read_u32(data, off);
-    off += 4;
-    if (off + proof_len > data.size()) return false;
-    const MerkleProof proof =
-        MerkleProof::deserialize(data.subspan(off, proof_len));
-    off += proof_len;
-    const std::uint32_t inner_len = read_u32(data, off);
-    off += 4;
-    if (off + inner_len != data.size()) return false;
-    const Signature inner =
-        Signature::deserialize(data.subspan(off, inner_len));
+    ByteReader r(BytesView{sig.payload.data(), sig.payload.size()},
+                 "batched signature");
+    const Digest root = r.digest();
+    const MerkleProof proof = MerkleProof::deserialize(r.blob());
+    const Signature inner = Signature::deserialize(r.blob());
+    r.finish();
     if (inner.scheme == SignatureScheme::kBatched) return false;  // no nesting
     return MerkleTree::verify(root, message, proof) &&
            verifier.verify(root, inner);
-  } catch (const std::exception&) {
+  } catch (const std::invalid_argument&) {
     return false;
   }
 }
@@ -75,28 +63,23 @@ Bytes Signature::serialize() const {
   Bytes out;
   out.push_back(static_cast<std::uint8_t>(scheme));
   append(out, key_id);
-  append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  append(out, BytesView{payload.data(), payload.size()});
+  append_blob(out, BytesView{payload.data(), payload.size()});
   return out;
 }
 
 Signature Signature::deserialize(BytesView data) {
-  if (data.size() < 37) {
-    throw std::invalid_argument("Signature::deserialize: too short");
-  }
+  ByteReader r(data, "Signature::deserialize");
   Signature sig;
-  sig.scheme = static_cast<SignatureScheme>(data[0]);
+  sig.scheme = static_cast<SignatureScheme>(r.u8());
   if (sig.scheme != SignatureScheme::kHmacDeviceKey &&
       sig.scheme != SignatureScheme::kXmss &&
       sig.scheme != SignatureScheme::kBatched) {
-    throw std::invalid_argument("Signature::deserialize: unknown scheme");
+    r.fail("unknown scheme");
   }
-  std::copy(data.begin() + 1, data.begin() + 33, sig.key_id.v.begin());
-  const std::uint32_t len = read_u32(data, 33);
-  if (data.size() != 37 + std::size_t{len}) {
-    throw std::invalid_argument("Signature::deserialize: bad payload size");
-  }
-  sig.payload.assign(data.begin() + 37, data.end());
+  sig.key_id = r.digest();
+  const BytesView payload = r.blob();
+  r.finish();
+  sig.payload.assign(payload.begin(), payload.end());
   return sig;
 }
 
@@ -153,8 +136,8 @@ bool XmssVerifier::verify(const Digest& message, const Signature& sig) const {
   try {
     parsed = XmssSignature::deserialize(
         BytesView{sig.payload.data(), sig.payload.size()});
-  } catch (const std::exception&) {
-    return false;  // malformed payload: out_of_range or invalid_argument
+  } catch (const std::invalid_argument&) {
+    return false;  // malformed payload
   }
   return XmssKeyPair::verify(public_root_, message, parsed);
 }

@@ -43,6 +43,7 @@ struct Signature {
   Bytes payload;     // scheme-specific signature bytes
 
   [[nodiscard]] Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static Signature deserialize(BytesView data);
   [[nodiscard]] std::size_t wire_size() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <stdexcept>
 
 #include "crypto/hmac.h"
 #include "crypto/sha256_backend.h"
@@ -219,15 +218,10 @@ Bytes Signature::serialize() const {
 }
 
 Signature Signature::deserialize(BytesView data) {
-  if (data.size() != kWireSize) {
-    throw std::invalid_argument("wots::Signature::deserialize: bad size");
-  }
+  ByteReader r(data, "wots::Signature::deserialize");
   Signature sig;
-  for (std::size_t i = 0; i < kLen; ++i) {
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(32 * i),
-              data.begin() + static_cast<std::ptrdiff_t>(32 * (i + 1)),
-              sig.chains[i].v.begin());
-  }
+  for (auto& d : sig.chains) d = r.digest();
+  r.finish();
   return sig;
 }
 

@@ -42,6 +42,7 @@ struct Signature {
   static constexpr std::size_t kWireSize = kLen * 32;
 
   [[nodiscard]] Bytes serialize() const;
+  /// Throws std::invalid_argument unless `data` is exactly kWireSize bytes.
   [[nodiscard]] static Signature deserialize(BytesView data);
 };
 

@@ -74,26 +74,22 @@ void ActionDef::execute(ParsedPacket& pkt,
 
 crypto::Bytes ActionDef::encode() const {
   crypto::Bytes out;
-  const auto put_str = [&out](const std::string& s) {
-    crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
-    crypto::append(out, crypto::as_bytes(s));
-  };
   const auto put_operand = [&out](const Operand& o) {
     out.push_back(o.is_param ? 1 : 0);
     crypto::append_u64(out, o.is_param ? o.param_index : o.immediate);
   };
-  put_str(name);
+  crypto::append_str(out, name);
   crypto::append_u32(out, static_cast<std::uint32_t>(param_count));
   crypto::append_u32(out, static_cast<std::uint32_t>(ops.size()));
   for (const Op& op : ops) {
     out.push_back(static_cast<std::uint8_t>(op.kind));
-    put_str(op.dst.header);
-    put_str(op.dst.field);
-    put_str(op.src.header);
-    put_str(op.src.field);
+    crypto::append_str(out, op.dst.header);
+    crypto::append_str(out, op.dst.field);
+    crypto::append_str(out, op.src.header);
+    crypto::append_str(out, op.src.field);
     put_operand(op.a);
     put_operand(op.b);
-    put_str(op.reg);
+    crypto::append_str(out, op.reg);
     crypto::append_u32(out, op.which_meta);
   }
   return out;

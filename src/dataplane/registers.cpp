@@ -58,8 +58,7 @@ crypto::Digest RegisterFile::schema_leaf(const std::string& name,
                                          std::size_t size) {
   crypto::Bytes buf;
   crypto::append(buf, crypto::as_bytes("pera.reg.schema.v1"));
-  crypto::append_u32(buf, static_cast<std::uint32_t>(name.size()));
-  crypto::append(buf, crypto::as_bytes(name));
+  crypto::append_str(buf, name);
   crypto::append_u64(buf, size);
   return crypto::sha256(crypto::BytesView{buf.data(), buf.size()});
 }

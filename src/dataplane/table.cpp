@@ -243,16 +243,14 @@ crypto::Digest Table::entry_leaf(const TableEntry& e) {
     crypto::append_u64(buf, k.mask);
   }
   crypto::append_u32(buf, e.priority);
-  crypto::append_u32(buf, static_cast<std::uint32_t>(e.action.size()));
-  crypto::append(buf, crypto::as_bytes(e.action));
+  crypto::append_str(buf, e.action);
   for (std::uint64_t p : e.action_params) crypto::append_u64(buf, p);
   return crypto::sha256(crypto::BytesView{buf.data(), buf.size()});
 }
 
 crypto::Digest Table::default_leaf() const {
   crypto::Bytes buf;
-  crypto::append_u32(buf, static_cast<std::uint32_t>(default_action_.size()));
-  crypto::append(buf, crypto::as_bytes(default_action_));
+  crypto::append_str(buf, default_action_);
   for (std::uint64_t p : default_params_) crypto::append_u64(buf, p);
   return crypto::sha256(crypto::BytesView{buf.data(), buf.size()});
 }
@@ -307,13 +305,10 @@ crypto::Digest Table::content_digest_full() const {
 
 crypto::Bytes Table::encode_schema() const {
   crypto::Bytes out;
-  crypto::append_u32(out, static_cast<std::uint32_t>(name_.size()));
-  crypto::append(out, crypto::as_bytes(name_));
+  crypto::append_str(out, name_);
   crypto::append_u32(out, static_cast<std::uint32_t>(keys_.size()));
   for (const auto& k : keys_) {
-    const std::string ref = k.field.str();
-    crypto::append_u32(out, static_cast<std::uint32_t>(ref.size()));
-    crypto::append(out, crypto::as_bytes(ref));
+    crypto::append_str(out, k.field.str());
     out.push_back(static_cast<std::uint8_t>(k.kind));
     crypto::append_u32(out, k.width);
   }

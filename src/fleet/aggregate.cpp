@@ -19,34 +19,6 @@ constexpr std::size_t kMaxEntries = 1 << 20;    // members per aggregate
 constexpr std::size_t kMaxEvidence = 1 << 20;   // carried evidence bytes
 constexpr std::size_t kMaxSig = 1 << 16;
 
-void append_string(Bytes& out, const std::string& s) {
-  crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  crypto::append(out, crypto::as_bytes(s));
-}
-
-std::string read_string(BytesView data, std::size_t& off, std::size_t max_len,
-                        const char* what) {
-  const std::uint32_t len = crypto::read_u32(data, off);
-  off += 4;
-  if (len > max_len || off + len > data.size()) {
-    throw std::invalid_argument(std::string(what) + ": bad string length");
-  }
-  std::string s(reinterpret_cast<const char*>(data.data() + off), len);
-  off += len;
-  return s;
-}
-
-Digest read_digest(BytesView data, std::size_t& off, const char* what) {
-  if (off + 32 > data.size()) {
-    throw std::invalid_argument(std::string(what) + ": truncated digest");
-  }
-  Digest d;
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off) + 32, d.v.begin());
-  off += 32;
-  return d;
-}
-
 }  // namespace
 
 const char* to_string(EntryOutcome o) {
@@ -79,8 +51,8 @@ Digest Aggregate::signing_payload() const {
   crypto::Sha256 h;
   h.update("pera.fleet.aggregate.v1");
   Bytes meta;
-  append_string(meta, region);
-  append_string(meta, appraiser);
+  crypto::append_str(meta, region);
+  crypto::append_str(meta, appraiser);
   crypto::append_u64(meta, wave);
   h.update(BytesView{meta.data(), meta.size()});
   h.update(nonce.value);
@@ -93,119 +65,86 @@ Digest Aggregate::signing_payload() const {
 
 Bytes Aggregate::serialize() const {
   Bytes out;
-  append_string(out, region);
-  append_string(out, appraiser);
+  crypto::append_str(out, region);
+  crypto::append_str(out, appraiser);
   crypto::append_u64(out, wave);
   crypto::append(out, nonce.value);
   crypto::append(out, merkle_root);
   crypto::append_u32(out, static_cast<std::uint32_t>(entries.size()));
   for (const auto& e : entries) {
-    append_string(out, e.place);
+    crypto::append_str(out, e.place);
     out.push_back(static_cast<std::uint8_t>(e.outcome));
     out.push_back(e.verdict ? 1 : 0);
     crypto::append_u32(out, e.attempts);
     crypto::append(out, e.measurement_root);
     crypto::append(out, e.evidence_digest);
-    crypto::append_u32(out, static_cast<std::uint32_t>(e.evidence.size()));
-    crypto::append(out, BytesView{e.evidence.data(), e.evidence.size()});
+    crypto::append_blob(out, BytesView{e.evidence.data(), e.evidence.size()});
   }
   const Bytes sig = this->sig.serialize();
-  crypto::append_u32(out, static_cast<std::uint32_t>(sig.size()));
-  crypto::append(out, BytesView{sig.data(), sig.size()});
+  crypto::append_blob(out, BytesView{sig.data(), sig.size()});
   PERA_OBS_COUNT("wire.fleet_aggregate.encoded_bytes", out.size());
   return out;
 }
 
 Aggregate Aggregate::deserialize(BytesView data) {
+  crypto::ByteReader r(data, "Aggregate");
   Aggregate a;
-  std::size_t off = 0;
-  a.region = read_string(data, off, kMaxName, "Aggregate.region");
-  a.appraiser = read_string(data, off, kMaxName, "Aggregate.appraiser");
-  a.wave = crypto::read_u64(data, off);
-  off += 8;
-  a.nonce.value = read_digest(data, off, "Aggregate.nonce");
-  a.merkle_root = read_digest(data, off, "Aggregate.merkle_root");
-  const std::uint32_t count = crypto::read_u32(data, off);
-  off += 4;
-  if (count > kMaxEntries) {
-    throw std::invalid_argument("Aggregate: entry count too large");
-  }
+  a.region = r.str(kMaxName);
+  a.appraiser = r.str(kMaxName);
+  a.wave = r.u64();
+  a.nonce.value = r.digest();
+  a.merkle_root = r.digest();
+  // An entry is at least a name, two flag bytes, attempts, two digests
+  // and an evidence length: 4 + 2 + 4 + 64 + 4 bytes.
+  const std::size_t count = r.count(78, kMaxEntries);
   a.entries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     AggregateEntry e;
-    e.place = read_string(data, off, kMaxName, "Aggregate.entry.place");
-    if (off + 2 > data.size()) {
-      throw std::invalid_argument("Aggregate: truncated entry");
-    }
-    const std::uint8_t outcome = data[off];
+    e.place = r.str(kMaxName);
+    const std::uint8_t outcome = r.u8();
     if (outcome > static_cast<std::uint8_t>(EntryOutcome::kTimeout)) {
-      throw std::invalid_argument("Aggregate: bad entry outcome");
+      r.fail("bad entry outcome");
     }
     e.outcome = static_cast<EntryOutcome>(outcome);
-    e.verdict = data[off + 1] != 0;
-    off += 2;
-    e.attempts = crypto::read_u32(data, off);
-    off += 4;
-    e.measurement_root = read_digest(data, off, "Aggregate.entry.mroot");
-    e.evidence_digest = read_digest(data, off, "Aggregate.entry.edigest");
-    const std::uint32_t ev_len = crypto::read_u32(data, off);
-    off += 4;
-    if (ev_len > kMaxEvidence || off + ev_len > data.size()) {
-      throw std::invalid_argument("Aggregate: bad evidence length");
-    }
-    e.evidence.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                      data.begin() + static_cast<std::ptrdiff_t>(off + ev_len));
-    off += ev_len;
+    e.verdict = r.u8() != 0;
+    e.attempts = r.u32();
+    e.measurement_root = r.digest();
+    e.evidence_digest = r.digest();
+    const BytesView ev = r.blob(kMaxEvidence);
+    e.evidence.assign(ev.begin(), ev.end());
     a.entries.push_back(std::move(e));
   }
-  const std::uint32_t sig_len = crypto::read_u32(data, off);
-  off += 4;
-  if (sig_len > kMaxSig || off + sig_len != data.size()) {
-    throw std::invalid_argument("Aggregate: bad signature length");
-  }
-  a.sig = crypto::Signature::deserialize(data.subspan(off, sig_len));
+  const BytesView sig = r.blob(kMaxSig);
+  r.finish();
+  a.sig = crypto::Signature::deserialize(sig);
   PERA_OBS_COUNT("wire.fleet_aggregate.decoded_bytes", data.size());
   return a;
 }
 
 Bytes WaveCommand::serialize() const {
   Bytes out;
-  append_string(out, region);
+  crypto::append_str(out, region);
   crypto::append_u64(out, wave);
   crypto::append(out, nonce.value);
   out.push_back(detail);
   out.push_back(carry_evidence ? 1 : 0);
   crypto::append_u32(out, static_cast<std::uint32_t>(members.size()));
-  for (const auto& m : members) append_string(out, m);
+  for (const auto& m : members) crypto::append_str(out, m);
   return out;
 }
 
 WaveCommand WaveCommand::deserialize(BytesView data) {
+  crypto::ByteReader r(data, "WaveCommand");
   WaveCommand c;
-  std::size_t off = 0;
-  c.region = read_string(data, off, kMaxName, "WaveCommand.region");
-  c.wave = crypto::read_u64(data, off);
-  off += 8;
-  c.nonce.value = read_digest(data, off, "WaveCommand.nonce");
-  if (off + 2 > data.size()) {
-    throw std::invalid_argument("WaveCommand: truncated flags");
-  }
-  c.detail = data[off];
-  c.carry_evidence = data[off + 1] != 0;
-  off += 2;
-  const std::uint32_t count = crypto::read_u32(data, off);
-  off += 4;
-  if (count > kMaxEntries) {
-    throw std::invalid_argument("WaveCommand: member count too large");
-  }
+  c.region = r.str(kMaxName);
+  c.wave = r.u64();
+  c.nonce.value = r.digest();
+  c.detail = r.u8();
+  c.carry_evidence = r.u8() != 0;
+  const std::size_t count = r.count(4, kMaxEntries);  // >= 4 bytes per name
   c.members.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    c.members.push_back(
-        read_string(data, off, kMaxName, "WaveCommand.member"));
-  }
-  if (off != data.size()) {
-    throw std::invalid_argument("WaveCommand: trailing bytes");
-  }
+  for (std::size_t i = 0; i < count; ++i) c.members.push_back(r.str(kMaxName));
+  r.finish();
   return c;
 }
 

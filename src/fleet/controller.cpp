@@ -12,7 +12,7 @@ namespace {
 /// Deterministic per-place seed derivation (stable across platforms).
 std::uint64_t place_seed(std::uint64_t seed, const std::string& name) {
   const crypto::Digest d = crypto::sha256(name);
-  return seed ^ crypto::read_u64(crypto::BytesView{d.v.data(), d.v.size()}, 0);
+  return seed ^ crypto::ByteReader(crypto::BytesView{d.v.data(), d.v.size()}).u64();
 }
 }  // namespace
 

@@ -1,42 +1,9 @@
 #include "nac/header.h"
 
-#include <stdexcept>
-
 namespace pera::nac {
 
 using crypto::Bytes;
 using crypto::BytesView;
-
-namespace {
-
-void put_str(Bytes& out, const std::string& s) {
-  crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  crypto::append(out, crypto::as_bytes(s));
-}
-
-std::string get_str(BytesView data, std::size_t& off) {
-  const std::uint32_t len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + len > data.size()) {
-    throw std::invalid_argument("header decode: truncated string");
-  }
-  std::string s(reinterpret_cast<const char*>(data.data() + off), len);
-  off += len;
-  return s;
-}
-
-crypto::Digest get_digest(BytesView data, std::size_t& off) {
-  if (off + 32 > data.size()) {
-    throw std::invalid_argument("header decode: truncated digest");
-  }
-  crypto::Digest d;
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off + 32), d.v.begin());
-  off += 32;
-  return d;
-}
-
-}  // namespace
 
 Bytes PolicyHeader::serialize() const {
   Bytes out;
@@ -47,11 +14,11 @@ Bytes PolicyHeader::serialize() const {
   out.push_back(sampling_log2);
   crypto::append(out, nonce.value);
   crypto::append(out, policy_id);
-  put_str(out, appraiser);
+  crypto::append_str(out, appraiser);
   crypto::append_u32(out, static_cast<std::uint32_t>(hops.size()));
   for (const auto& h : hops) {
-    put_str(out, h.place);
-    put_str(out, h.guard);
+    crypto::append_str(out, h.place);
+    crypto::append_str(out, h.guard);
     std::uint8_t hflags = 0;
     if (h.wildcard) hflags |= 1;
     if (h.hash_evidence) hflags |= 2;
@@ -61,65 +28,44 @@ Bytes PolicyHeader::serialize() const {
     out.push_back(hflags);
     out.push_back(h.detail);
     crypto::append_u32(out, static_cast<std::uint32_t>(h.custom_targets.size()));
-    for (const auto& t : h.custom_targets) put_str(out, t);
+    for (const auto& t : h.custom_targets) crypto::append_str(out, t);
   }
   return out;
 }
 
 PolicyHeader PolicyHeader::deserialize(BytesView data) {
-  if (data.size() < 5) {
-    throw std::invalid_argument("PolicyHeader: too short");
+  crypto::ByteReader r(data, "PolicyHeader");
+  if (r.u8() != (kMagic >> 8) || r.u8() != (kMagic & 0xff)) {
+    r.fail("bad magic");
   }
-  if ((static_cast<std::uint16_t>(data[0]) << 8 | data[1]) != kMagic) {
-    throw std::invalid_argument("PolicyHeader: bad magic");
-  }
-  if (data[2] != kVersion) {
-    throw std::invalid_argument("PolicyHeader: unsupported version");
-  }
+  if (r.u8() != kVersion) r.fail("unsupported version");
   PolicyHeader h;
-  h.flags = data[3];
-  h.sampling_log2 = data[4];
-  std::size_t off = 5;
-  h.nonce.value = get_digest(data, off);
-  h.policy_id = get_digest(data, off);
-  h.appraiser = get_str(data, off);
-  const std::uint32_t n = crypto::read_u32(data, off);
-  off += 4;
+  h.flags = r.u8();
+  h.sampling_log2 = r.u8();
+  h.nonce.value = r.digest();
+  h.policy_id = r.digest();
+  h.appraiser = r.str();
   // A hop needs at least two length-prefixed strings + flags + detail +
-  // target count = 14 bytes; reject counts the payload cannot hold before
-  // reserving attacker-controlled amounts of memory.
-  if (n > (data.size() - off) / 14) {
-    throw std::invalid_argument("PolicyHeader: hop count exceeds payload");
-  }
+  // target count = 14 bytes.
+  const std::size_t n = r.count(14);
   h.hops.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     HopInstruction hop;
-    hop.place = get_str(data, off);
-    hop.guard = get_str(data, off);
-    if (off + 2 > data.size()) {
-      throw std::invalid_argument("PolicyHeader: truncated hop");
-    }
-    const std::uint8_t hflags = data[off++];
+    hop.place = r.str();
+    hop.guard = r.str();
+    const std::uint8_t hflags = r.u8();
     hop.wildcard = (hflags & 1) != 0;
     hop.hash_evidence = (hflags & 2) != 0;
     hop.sign_evidence = (hflags & 4) != 0;
     hop.is_collector = (hflags & 8) != 0;
     hop.out_of_band = (hflags & 16) != 0;
-    hop.detail = data[off++];
-    const std::uint32_t nt = crypto::read_u32(data, off);
-    off += 4;
-    if (nt > (data.size() - off) / 4) {  // >= 4 bytes per string
-      throw std::invalid_argument("PolicyHeader: target count exceeds payload");
-    }
+    hop.detail = r.u8();
+    const std::size_t nt = r.count(4);  // >= 4 bytes per string
     hop.custom_targets.reserve(nt);
-    for (std::uint32_t j = 0; j < nt; ++j) {
-      hop.custom_targets.push_back(get_str(data, off));
-    }
+    for (std::size_t j = 0; j < nt; ++j) hop.custom_targets.push_back(r.str());
     h.hops.push_back(std::move(hop));
   }
-  if (off != data.size()) {
-    throw std::invalid_argument("PolicyHeader: trailing bytes");
-  }
+  r.finish();
   return h;
 }
 
@@ -166,38 +112,25 @@ Bytes EvidenceCarrier::serialize() const {
   Bytes out;
   crypto::append_u32(out, static_cast<std::uint32_t>(records.size()));
   for (const auto& r : records) {
-    put_str(out, r.place);
-    crypto::append_u32(out, static_cast<std::uint32_t>(r.evidence.size()));
-    crypto::append(out, BytesView{r.evidence.data(), r.evidence.size()});
+    crypto::append_str(out, r.place);
+    crypto::append_blob(out, BytesView{r.evidence.data(), r.evidence.size()});
   }
   return out;
 }
 
 EvidenceCarrier EvidenceCarrier::deserialize(BytesView data) {
+  crypto::ByteReader r(data, "EvidenceCarrier");
   EvidenceCarrier c;
-  std::size_t off = 0;
-  const std::uint32_t n = crypto::read_u32(data, off);
-  off += 4;
-  if (n > (data.size() - off) / 8) {  // >= 8 bytes per record
-    throw std::invalid_argument("EvidenceCarrier: record count exceeds payload");
-  }
+  const std::size_t n = r.count(8);  // >= 8 bytes per record
   c.records.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    EvidenceRecord r;
-    r.place = get_str(data, off);
-    const std::uint32_t len = crypto::read_u32(data, off);
-    off += 4;
-    if (off + len > data.size()) {
-      throw std::invalid_argument("EvidenceCarrier: truncated record");
-    }
-    r.evidence.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                      data.begin() + static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    c.records.push_back(std::move(r));
+  for (std::size_t i = 0; i < n; ++i) {
+    EvidenceRecord rec;
+    rec.place = r.str();
+    const BytesView ev = r.blob();
+    rec.evidence.assign(ev.begin(), ev.end());
+    c.records.push_back(std::move(rec));
   }
-  if (off != data.size()) {
-    throw std::invalid_argument("EvidenceCarrier: trailing bytes");
-  }
+  r.finish();
   return c;
 }
 

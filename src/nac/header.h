@@ -69,6 +69,7 @@ struct EvidenceCarrier {
   void add(std::string place, crypto::Bytes evidence);
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static EvidenceCarrier deserialize(crypto::BytesView data);
   [[nodiscard]] std::size_t wire_size() const;
 };

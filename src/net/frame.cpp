@@ -51,8 +51,8 @@ bool FrameDecoder::feed(crypto::BytesView data) {
   for (;;) {
     const std::size_t avail = buf_.size() - head_;
     if (avail < 4) break;
-    const std::uint32_t len = crypto::read_u32(
-        crypto::BytesView{buf_.data() + head_, avail}, 0);
+    const std::uint32_t len =
+        crypto::ByteReader(crypto::BytesView{buf_.data() + head_, 4}).u32();
     if (len == 0) {
       poison("zero-length frame");
       return false;

@@ -1,7 +1,5 @@
 #include "net/wire.h"
 
-#include <stdexcept>
-
 #include "crypto/sha256.h"
 
 namespace pera::net {
@@ -22,55 +20,11 @@ const char* to_string(RejectReason r) {
   return "unknown";
 }
 
-namespace {
-
-void append_string(Bytes& out, const std::string& s) {
-  crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  crypto::append(out, crypto::as_bytes(s));
-}
-
-std::string read_string(BytesView data, std::size_t& off, const char* what) {
-  const std::uint32_t len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + len > data.size()) {
-    throw std::invalid_argument(std::string(what) + ": truncated string");
-  }
-  std::string s(reinterpret_cast<const char*>(data.data() + off), len);
-  off += len;
-  return s;
-}
-
-crypto::Digest read_digest(BytesView data, std::size_t& off,
-                           const char* what) {
-  if (off + 32 > data.size()) {
-    throw std::invalid_argument(std::string(what) + ": truncated digest");
-  }
-  crypto::Digest d;
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off + 32), d.v.begin());
-  off += 32;
-  return d;
-}
-
-Bytes read_blob(BytesView data, std::size_t& off, const char* what) {
-  const std::uint32_t len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + len > data.size()) {
-    throw std::invalid_argument(std::string(what) + ": truncated blob");
-  }
-  Bytes b(data.begin() + static_cast<std::ptrdiff_t>(off),
-          data.begin() + static_cast<std::ptrdiff_t>(off + len));
-  off += len;
-  return b;
-}
-
-}  // namespace
-
 crypto::Digest Quote::signing_payload() const {
   crypto::Sha256 h;
   h.update("pera.net.quote.v1");
   Bytes t;
-  append_string(t, place);
+  crypto::append_str(t, place);
   h.update(BytesView{t.data(), t.size()});
   h.update(nonce.value);
   h.update(measurement);
@@ -93,27 +47,23 @@ bool Quote::verify(const crypto::Verifier& v) const {
 
 Bytes Quote::serialize() const {
   Bytes out;
-  append_string(out, place);
+  crypto::append_str(out, place);
   crypto::append(out, nonce.value);
   crypto::append(out, measurement);
   const Bytes sig_bytes = sig.serialize();
-  crypto::append_u32(out, static_cast<std::uint32_t>(sig_bytes.size()));
-  crypto::append(out, BytesView{sig_bytes.data(), sig_bytes.size()});
+  crypto::append_blob(out, BytesView{sig_bytes.data(), sig_bytes.size()});
   return out;
 }
 
 Quote Quote::deserialize(BytesView data) {
+  crypto::ByteReader r(data, "Quote");
   Quote q;
-  std::size_t off = 0;
-  q.place = read_string(data, off, "Quote");
-  q.nonce.value = read_digest(data, off, "Quote");
-  q.measurement = read_digest(data, off, "Quote");
-  const Bytes sig_bytes = read_blob(data, off, "Quote");
-  if (off != data.size()) {
-    throw std::invalid_argument("Quote: trailing bytes");
-  }
-  q.sig = crypto::Signature::deserialize(
-      BytesView{sig_bytes.data(), sig_bytes.size()});
+  q.place = r.str();
+  q.nonce.value = r.digest();
+  q.measurement = r.digest();
+  const BytesView sig = r.blob();
+  r.finish();
+  q.sig = crypto::Signature::deserialize(sig);
   return q;
 }
 
@@ -122,31 +72,28 @@ Bytes HelloMsg::serialize() const {
   out.push_back(version);
   out.push_back(static_cast<std::uint8_t>(role));
   out.push_back(want_mutual ? 1 : 0);
-  append_string(out, place);
+  crypto::append_str(out, place);
   crypto::append(out, session_nonce.value);
-  crypto::append_u32(out, static_cast<std::uint32_t>(quote.size()));
-  crypto::append(out, BytesView{quote.data(), quote.size()});
+  crypto::append_blob(out, BytesView{quote.data(), quote.size()});
   return out;
 }
 
 HelloMsg HelloMsg::deserialize(BytesView data) {
-  if (data.size() < 3) throw std::invalid_argument("HelloMsg: too short");
+  crypto::ByteReader r(data, "HelloMsg");
   HelloMsg m;
-  m.version = data[0];
-  const std::uint8_t role = data[1];
+  m.version = r.u8();
+  const std::uint8_t role = r.u8();
   if (role != static_cast<std::uint8_t>(SessionRole::kSwitch) &&
       role != static_cast<std::uint8_t>(SessionRole::kRelyingParty)) {
-    throw std::invalid_argument("HelloMsg: unknown role");
+    r.fail("unknown role");
   }
   m.role = static_cast<SessionRole>(role);
-  m.want_mutual = data[2] != 0;
-  std::size_t off = 3;
-  m.place = read_string(data, off, "HelloMsg");
-  m.session_nonce.value = read_digest(data, off, "HelloMsg");
-  m.quote = read_blob(data, off, "HelloMsg");
-  if (off != data.size()) {
-    throw std::invalid_argument("HelloMsg: trailing bytes");
-  }
+  m.want_mutual = r.u8() != 0;
+  m.place = r.str();
+  m.session_nonce.value = r.digest();
+  const BytesView quote = r.blob();
+  m.quote.assign(quote.begin(), quote.end());
+  r.finish();
   return m;
 }
 
@@ -156,50 +103,42 @@ Bytes HelloAckMsg::serialize() const {
   out.push_back(admitted ? 1 : 0);
   out.push_back(static_cast<std::uint8_t>(reject));
   crypto::append(out, server_nonce.value);
-  crypto::append_u32(out, static_cast<std::uint32_t>(quote.size()));
-  crypto::append(out, BytesView{quote.data(), quote.size()});
+  crypto::append_blob(out, BytesView{quote.data(), quote.size()});
   return out;
 }
 
 HelloAckMsg HelloAckMsg::deserialize(BytesView data) {
-  if (data.size() < 3 + 32 + 4) {
-    throw std::invalid_argument("HelloAckMsg: too short");
-  }
+  crypto::ByteReader r(data, "HelloAckMsg");
   HelloAckMsg m;
-  m.version = data[0];
-  m.admitted = data[1] != 0;
-  if (data[2] > static_cast<std::uint8_t>(RejectReason::kRoleRefused)) {
-    throw std::invalid_argument("HelloAckMsg: unknown reject reason");
+  m.version = r.u8();
+  m.admitted = r.u8() != 0;
+  const std::uint8_t reject = r.u8();
+  if (reject > static_cast<std::uint8_t>(RejectReason::kRoleRefused)) {
+    r.fail("unknown reject reason");
   }
-  m.reject = static_cast<RejectReason>(data[2]);
-  std::size_t off = 3;
-  m.server_nonce.value = read_digest(data, off, "HelloAckMsg");
-  m.quote = read_blob(data, off, "HelloAckMsg");
-  if (off != data.size()) {
-    throw std::invalid_argument("HelloAckMsg: trailing bytes");
-  }
+  m.reject = static_cast<RejectReason>(reject);
+  m.server_nonce.value = r.digest();
+  const BytesView quote = r.blob();
+  m.quote.assign(quote.begin(), quote.end());
+  r.finish();
   return m;
 }
 
 Bytes ChallengeFrame::serialize() const {
   Bytes out;
-  append_string(out, place);
+  crypto::append_str(out, place);
   const Bytes ch = challenge.serialize();
-  crypto::append_u32(out, static_cast<std::uint32_t>(ch.size()));
-  crypto::append(out, BytesView{ch.data(), ch.size()});
+  crypto::append_blob(out, BytesView{ch.data(), ch.size()});
   return out;
 }
 
 ChallengeFrame ChallengeFrame::deserialize(BytesView data) {
+  crypto::ByteReader r(data, "ChallengeFrame");
   ChallengeFrame f;
-  std::size_t off = 0;
-  f.place = read_string(data, off, "ChallengeFrame");
-  const Bytes ch = read_blob(data, off, "ChallengeFrame");
-  if (off != data.size()) {
-    throw std::invalid_argument("ChallengeFrame: trailing bytes");
-  }
-  f.challenge =
-      core::Challenge::deserialize(BytesView{ch.data(), ch.size()});
+  f.place = r.str();
+  const BytesView ch = r.blob();
+  r.finish();
+  f.challenge = core::Challenge::deserialize(ch);
   return f;
 }
 

@@ -1,7 +1,5 @@
 #include "ra/certificate.h"
 
-#include <stdexcept>
-
 namespace pera::ra {
 
 crypto::Digest Certificate::signing_payload() const {
@@ -20,49 +18,28 @@ crypto::Digest Certificate::signing_payload() const {
 
 crypto::Bytes Certificate::serialize() const {
   crypto::Bytes out;
-  crypto::append_u32(out, static_cast<std::uint32_t>(appraiser.size()));
-  crypto::append(out, crypto::as_bytes(appraiser));
+  crypto::append_str(out, appraiser);
   crypto::append(out, nonce.value);
   crypto::append(out, evidence_digest);
   out.push_back(verdict ? 1 : 0);
   crypto::append_u64(out, static_cast<std::uint64_t>(issued_at));
   const crypto::Bytes sig_bytes = sig.serialize();
-  crypto::append_u32(out, static_cast<std::uint32_t>(sig_bytes.size()));
-  crypto::append(out, crypto::BytesView{sig_bytes.data(), sig_bytes.size()});
+  crypto::append_blob(out,
+                      crypto::BytesView{sig_bytes.data(), sig_bytes.size()});
   return out;
 }
 
 Certificate Certificate::deserialize(crypto::BytesView data) {
+  crypto::ByteReader r(data, "Certificate::deserialize");
   Certificate c;
-  std::size_t off = 0;
-  const std::uint32_t name_len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + name_len > data.size()) {
-    throw std::invalid_argument("Certificate::deserialize: truncated name");
-  }
-  c.appraiser.assign(reinterpret_cast<const char*>(data.data() + off),
-                     name_len);
-  off += name_len;
-  if (off + 64 + 1 + 8 > data.size()) {
-    throw std::invalid_argument("Certificate::deserialize: truncated body");
-  }
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off + 32),
-            c.nonce.value.v.begin());
-  off += 32;
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off + 32),
-            c.evidence_digest.v.begin());
-  off += 32;
-  c.verdict = data[off++] != 0;
-  c.issued_at = static_cast<std::int64_t>(crypto::read_u64(data, off));
-  off += 8;
-  const std::uint32_t sig_len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + sig_len != data.size()) {
-    throw std::invalid_argument("Certificate::deserialize: bad sig length");
-  }
-  c.sig = crypto::Signature::deserialize(data.subspan(off, sig_len));
+  c.appraiser = r.str();
+  c.nonce.value = r.digest();
+  c.evidence_digest = r.digest();
+  c.verdict = r.u8() != 0;
+  c.issued_at = static_cast<std::int64_t>(r.u64());
+  const crypto::BytesView sig = r.blob();
+  r.finish();
+  c.sig = crypto::Signature::deserialize(sig);
   return c;
 }
 

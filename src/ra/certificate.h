@@ -23,6 +23,7 @@ struct Certificate {
   [[nodiscard]] crypto::Digest signing_payload() const;
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static Certificate deserialize(crypto::BytesView data);
 
   /// Verify the appraiser's signature with its verifier.

@@ -1,7 +1,5 @@
 #include "ra/endorsement.h"
 
-#include <stdexcept>
-
 namespace pera::ra {
 
 crypto::Digest Endorsement::signing_payload() const {
@@ -36,57 +34,30 @@ bool Endorsement::verify(const crypto::Verifier& v) const {
   return v.verify(signing_payload(), sig);
 }
 
-namespace {
-void put_str(crypto::Bytes& out, const std::string& s) {
-  crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  crypto::append(out, crypto::as_bytes(s));
-}
-
-std::string get_str(crypto::BytesView data, std::size_t& off) {
-  const std::uint32_t len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + len > data.size()) {
-    throw std::invalid_argument("Endorsement: truncated string");
-  }
-  std::string s(reinterpret_cast<const char*>(data.data() + off), len);
-  off += len;
-  return s;
-}
-}  // namespace
-
 crypto::Bytes Endorsement::serialize() const {
   crypto::Bytes out;
-  put_str(out, endorser);
-  put_str(out, place);
-  put_str(out, target);
-  put_str(out, description);
+  crypto::append_str(out, endorser);
+  crypto::append_str(out, place);
+  crypto::append_str(out, target);
+  crypto::append_str(out, description);
   crypto::append(out, value);
   const crypto::Bytes sig_bytes = sig.serialize();
-  crypto::append_u32(out, static_cast<std::uint32_t>(sig_bytes.size()));
-  crypto::append(out, crypto::BytesView{sig_bytes.data(), sig_bytes.size()});
+  crypto::append_blob(out,
+                      crypto::BytesView{sig_bytes.data(), sig_bytes.size()});
   return out;
 }
 
 Endorsement Endorsement::deserialize(crypto::BytesView data) {
+  crypto::ByteReader r(data, "Endorsement");
   Endorsement e;
-  std::size_t off = 0;
-  e.endorser = get_str(data, off);
-  e.place = get_str(data, off);
-  e.target = get_str(data, off);
-  e.description = get_str(data, off);
-  if (off + 32 > data.size()) {
-    throw std::invalid_argument("Endorsement: truncated value");
-  }
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-            data.begin() + static_cast<std::ptrdiff_t>(off + 32),
-            e.value.v.begin());
-  off += 32;
-  const std::uint32_t sig_len = crypto::read_u32(data, off);
-  off += 4;
-  if (off + sig_len != data.size()) {
-    throw std::invalid_argument("Endorsement: bad signature length");
-  }
-  e.sig = crypto::Signature::deserialize(data.subspan(off, sig_len));
+  e.endorser = r.str();
+  e.place = r.str();
+  e.target = r.str();
+  e.description = r.str();
+  e.value = r.digest();
+  const crypto::BytesView sig = r.blob();
+  r.finish();
+  e.sig = crypto::Signature::deserialize(sig);
   return e;
 }
 

@@ -38,6 +38,7 @@ struct Endorsement {
   [[nodiscard]] bool verify(const crypto::Verifier& v) const;
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static Endorsement deserialize(crypto::BytesView data);
 };
 

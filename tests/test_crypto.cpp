@@ -36,19 +36,100 @@ TEST(Bytes, U32RoundTrip) {
   Bytes b;
   append_u32(b, 0xdeadbeef);
   ASSERT_EQ(b.size(), 4u);
-  EXPECT_EQ(read_u32(BytesView{b.data(), b.size()}, 0), 0xdeadbeefu);
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  r.finish();
 }
 
 TEST(Bytes, U64RoundTrip) {
   Bytes b;
   append_u64(b, 0x0123456789abcdefULL);
-  EXPECT_EQ(read_u64(BytesView{b.data(), b.size()}, 0), 0x0123456789abcdefULL);
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
+  r.finish();
 }
 
 TEST(Bytes, ReadPastEndThrows) {
   Bytes b = {1, 2, 3};
-  EXPECT_THROW((void)read_u32(BytesView{b.data(), b.size()}, 0),
-               std::out_of_range);
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_THROW((void)r.u32(), std::invalid_argument);
+  EXPECT_EQ(r.remaining(), 3u);  // a failed read consumes nothing
+  EXPECT_THROW((void)r.digest(), std::invalid_argument);
+  EXPECT_THROW((void)r.bytes(4), std::invalid_argument);
+}
+
+TEST(ByteReader, StrAndBlobRoundTrip) {
+  Bytes b;
+  append_str(b, "place");
+  const Bytes blob = {9, 8, 7};
+  append_blob(b, BytesView{blob.data(), blob.size()});
+  append_str(b, "");
+  b.push_back(0x42);
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_EQ(r.str(), "place");
+  const BytesView got = r.blob();
+  EXPECT_EQ(Bytes(got.begin(), got.end()), blob);
+  EXPECT_EQ(r.str(), "");
+  EXPECT_EQ(r.u8(), 0x42);
+  r.finish();
+}
+
+TEST(ByteReader, LengthPrefixBeyondPayloadThrows) {
+  Bytes b;
+  append_u32(b, 5);
+  b.push_back('a');  // 1 of the 5 promised bytes
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_THROW((void)r.str(), std::invalid_argument);
+}
+
+TEST(ByteReader, CapsRejectLongStringsAndLargeCounts) {
+  Bytes b;
+  append_str(b, "abcdef");
+  EXPECT_THROW((void)ByteReader(BytesView{b.data(), b.size()}).str(5),
+               std::invalid_argument);
+  EXPECT_EQ(ByteReader(BytesView{b.data(), b.size()}).str(6), "abcdef");
+  EXPECT_THROW((void)ByteReader(BytesView{b.data(), b.size()}).blob(5),
+               std::invalid_argument);
+
+  Bytes c;
+  append_u32(c, 3);
+  EXPECT_THROW((void)ByteReader(BytesView{c.data(), c.size()}).count(0, 2),
+               std::invalid_argument);
+  EXPECT_EQ(ByteReader(BytesView{c.data(), c.size()}).count(0, 3), 3u);
+}
+
+TEST(ByteReader, CountThePayloadCannotHoldThrows) {
+  Bytes b;
+  append_u32(b, 3);
+  b.resize(b.size() + 8);  // room for two 4-byte items, not three
+  EXPECT_THROW((void)ByteReader(BytesView{b.data(), b.size()}).count(4),
+               std::invalid_argument);
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_EQ(r.count(2), 3u);
+  // A huge count on a tiny payload is refused before anything is reserved.
+  Bytes huge;
+  append_u32(huge, 0xffffffffu);
+  EXPECT_THROW((void)ByteReader(BytesView{huge.data(), huge.size()}).count(1),
+               std::invalid_argument);
+}
+
+TEST(ByteReader, FinishRejectsTrailingBytes) {
+  const Bytes b = {0, 0, 0, 1, 0xff};
+  ByteReader r(BytesView{b.data(), b.size()});
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_THROW(r.finish(), std::invalid_argument);
+  EXPECT_EQ(r.u8(), 0xff);
+  r.finish();
+}
+
+TEST(ByteReader, ErrorNamesTheMessage) {
+  const Bytes b = {1};
+  try {
+    (void)ByteReader(BytesView{b.data(), b.size()}, "Quote").u32();
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "Quote: truncated u32");
+  }
 }
 
 TEST(Bytes, CtEqual) {

@@ -1,7 +1,9 @@
 // Robustness fuzzing: random byte mutations of every wire format must
 // either decode to something well-formed or throw — never crash, hang, or
 // read out of bounds. (Run under ASAN for full effect; the invariant
-// checked here is "throws std::exception or succeeds".)
+// checked here is "throws std::invalid_argument or succeeds" for the
+// binary decoders, "throws std::exception or succeeds" for the text
+// parsers.)
 #include <gtest/gtest.h>
 
 #include "copland/evidence.h"
@@ -61,8 +63,8 @@ void fuzz_decoder(const Bytes& seed_bytes, std::uint64_t seed, int rounds,
     const Bytes mutated = mutate(seed_bytes, rng, 1 + static_cast<int>(rng.uniform(6)));
     try {
       decode(BytesView{mutated.data(), mutated.size()});
-    } catch (const std::exception&) {
-      // expected for malformed input
+    } catch (const std::invalid_argument&) {
+      // expected for malformed input; any other exception fails the test
     }
   }
 }
@@ -147,9 +149,62 @@ TEST(Fuzz, FlowBundleDecoder) {
     m.payload = mutate(m.payload, rng, 1 + static_cast<int>(rng.uniform(4)));
     try {
       (void)core::FlowBundle::from_message(m);
-    } catch (const std::exception&) {
+    } catch (const std::invalid_argument&) {
     }
   }
+}
+
+TEST(Fuzz, XmssSignatureDecoder) {
+  crypto::XmssKeyPair kp(crypto::sha256("xmss"), 2);
+  fuzz_decoder(kp.sign(crypto::sha256("m")).serialize(), 27, 400,
+               [](BytesView d) { (void)crypto::XmssSignature::deserialize(d); });
+}
+
+// One error contract: a length prefix that runs past the input is a
+// malformed message (std::invalid_argument), not a bounds error.
+TEST(Fuzz, TruncatedLengthsThrowInvalidArgument) {
+  const Bytes one = {0x01};
+  EXPECT_THROW((void)copland::decode(BytesView{one.data(), one.size()}),
+               std::invalid_argument);
+  EXPECT_THROW((void)nac::EvidenceCarrier::deserialize({}),
+               std::invalid_argument);
+  EXPECT_THROW((void)ra::Certificate::deserialize({}), std::invalid_argument);
+  core::FlowBundle bundle;
+  bundle.raw = dataplane::make_tcp_packet({});
+  netsim::Message msg;
+  bundle.to_message(msg);
+  msg.payload = {0x00};
+  EXPECT_THROW((void)core::FlowBundle::from_message(msg),
+               std::invalid_argument);
+}
+
+// Nesting budget: depth - 1 nested seq tags (0x05) followed by `depth`
+// empty leaves (0x00) encode a left-deep tree `depth` nodes deep.
+Bytes nested_seq(std::size_t depth) {
+  Bytes b(depth - 1, 0x05);
+  b.resize(2 * depth - 1, 0x00);
+  return b;
+}
+
+TEST(Fuzz, EvidenceAtDepthBudgetDecodes) {
+  const Bytes b = nested_seq(copland::kMaxEvidenceDepth);
+  const copland::EvidencePtr e = copland::decode(BytesView{b.data(), b.size()});
+  EXPECT_EQ(copland::node_count(e), b.size());
+  EXPECT_EQ(copland::encode(e), b);
+}
+
+TEST(Fuzz, EvidenceOneLevelPastBudgetThrows) {
+  const Bytes b = nested_seq(copland::kMaxEvidenceDepth + 1);
+  EXPECT_THROW((void)copland::decode(BytesView{b.data(), b.size()}),
+               std::invalid_argument);
+}
+
+// Without the budget, decode recurses once per tag here and overflows the
+// stack.
+TEST(Fuzz, DeepSeqBufferThrowsInsteadOfCrashing) {
+  const Bytes b(100 * 1024, 0x05);
+  EXPECT_THROW((void)copland::decode(BytesView{b.data(), b.size()}),
+               std::invalid_argument);
 }
 
 // Text-format fuzzing: mutated sources must parse or throw, never crash.
