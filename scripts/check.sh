@@ -26,7 +26,7 @@ scripts/run_verify_fixtures.sh build
 # Fuzz smoke over the attacker-facing input surfaces: under clang these
 # are libFuzzer+ASan binaries, under gcc the standalone replay/mutation
 # driver — either way the same invocation, bounded to ~30s total.
-echo "== fuzz smoke (policy parser + wire decoders) =="
+echo "== fuzz smoke (policy parser + wire decoders + packet parser) =="
 build/fuzz/fuzz_copland_parser -max_total_time=15 -runs=200000 \
   tests/fixtures/verify
 build/fuzz/fuzz_evidence_decoder -max_total_time=15 -runs=200000 \
@@ -34,6 +34,8 @@ build/fuzz/fuzz_evidence_decoder -max_total_time=15 -runs=200000 \
 build/fuzz/fuzz_frame_codec -max_total_time=15 -runs=200000 \
   -max_len=1048581 tests/fixtures/fuzz
 build/fuzz/fuzz_evidence_payload -max_total_time=15 -runs=200000 \
+  -max_len=1048581 tests/fixtures/fuzz
+build/fuzz/fuzz_packet_parser -max_total_time=15 -runs=200000 \
   -max_len=1048581 tests/fixtures/fuzz
 
 for b in build/bench/bench_*; do

@@ -7,16 +7,6 @@
 
 namespace pera::ctrl {
 
-namespace {
-
-constexpr nac::EvidenceDetail kAllLevels[] = {
-    nac::EvidenceDetail::kHardware,   nac::EvidenceDetail::kProgram,
-    nac::EvidenceDetail::kTables,     nac::EvidenceDetail::kProgState,
-    nac::EvidenceDetail::kPacket,
-};
-
-}  // namespace
-
 ReattestScheduler::ReattestScheduler(netsim::EventQueue& events,
                                      SchedulerConfig config, std::uint64_t seed)
     : events_(&events), config_(config), root_rng_(seed) {
@@ -24,7 +14,7 @@ ReattestScheduler::ReattestScheduler(netsim::EventQueue& events,
 }
 
 void ReattestScheduler::add_switch(const std::string& place) {
-  for (const auto level : kAllLevels) {
+  for (const auto level : nac::kAllLevels) {
     if (!nac::has_detail(config_.levels, level)) continue;
     auto track = std::make_unique<Track>(Track{
         place, level, root_rng_.fork(place + "/" + nac::to_string(level))});

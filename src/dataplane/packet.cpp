@@ -1,8 +1,59 @@
 #include "dataplane/packet.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pera::dataplane {
+
+namespace {
+
+std::uint64_t width_mask(unsigned bits) {
+  return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
+
+// A field is at most 64 bits wide and starts at most 7 bits into its first
+// byte, so it lies inside a big-endian window of at most 9 bytes.
+using Window = unsigned __int128;
+
+struct FieldWindow {
+  std::size_t first;   // index of the field's first byte
+  unsigned span;       // bytes the field touches, 0..9
+  unsigned shift;      // bits below the field in the window
+};
+
+FieldWindow window_of(const HeaderSpec& spec, const FieldSpec& field,
+                      std::size_t bit_pos) {
+  if (field.bits > 64) {
+    throw std::invalid_argument("header " + spec.name + ": field " +
+                                field.name + " is wider than 64 bits");
+  }
+  const unsigned lead = static_cast<unsigned>(bit_pos % 8);
+  const unsigned span = (lead + field.bits + 7) / 8;
+  return {bit_pos / 8, span, span * 8 - lead - field.bits};
+}
+
+// ORs the packed header into `out`, which must hold spec.byte_width()
+// zero bytes. Bits of a value above its field's width are dropped.
+void pack_into(const HeaderSpec& spec,
+               const std::vector<std::uint64_t>& values, std::uint8_t* out) {
+  if (values.size() != spec.fields.size()) {
+    throw std::invalid_argument("pack_header: value count mismatch");
+  }
+  std::size_t bit_pos = 0;
+  for (std::size_t i = 0; i < spec.fields.size(); ++i) {
+    const FieldSpec& field = spec.fields[i];
+    const FieldWindow fw = window_of(spec, field, bit_pos);
+    const Window w = static_cast<Window>(values[i] & width_mask(field.bits))
+                     << fw.shift;
+    for (unsigned k = 0; k < fw.span; ++k) {
+      out[fw.first + k] |=
+          static_cast<std::uint8_t>(w >> (8 * (fw.span - 1 - k)));
+    }
+    bit_pos += field.bits;
+  }
+}
+
+}  // namespace
 
 std::uint64_t HeaderInstance::get(const std::string& field) const {
   const int idx = spec->field_index(field);
@@ -17,10 +68,8 @@ void HeaderInstance::set(const std::string& field, std::uint64_t value) {
   if (idx < 0) {
     throw std::out_of_range("no field '" + field + "' in header " + spec->name);
   }
-  const unsigned bits = spec->fields[static_cast<std::size_t>(idx)].bits;
-  const std::uint64_t mask =
-      bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-  values[static_cast<std::size_t>(idx)] = value & mask;
+  values[static_cast<std::size_t>(idx)] =
+      value & width_mask(spec->fields[static_cast<std::size_t>(idx)].bits);
 }
 
 HeaderInstance& ParsedPacket::add_header(const HeaderSpec& spec) {
@@ -68,58 +117,51 @@ void ParsedPacket::set(const FieldRef& ref, std::uint64_t value) {
 }
 
 Bytes ParsedPacket::deparse() const {
-  Bytes out;
+  std::size_t size = payload.size();
+  for (const auto& h : headers_) {
+    if (h.valid) size += h.spec->byte_width();
+  }
+  Bytes out(size, 0);
+  std::size_t at = 0;
   for (const auto& h : headers_) {
     if (!h.valid) continue;
-    const Bytes packed = pack_header(*h.spec, h.values);
-    crypto::append(out, BytesView{packed.data(), packed.size()});
+    pack_into(*h.spec, h.values, out.data() + at);
+    at += h.spec->byte_width();
   }
-  crypto::append(out, BytesView{payload.data(), payload.size()});
+  std::copy(payload.begin(), payload.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(at));
   return out;
 }
 
 Bytes pack_header(const HeaderSpec& spec,
                   const std::vector<std::uint64_t>& values) {
-  if (values.size() != spec.fields.size()) {
-    throw std::invalid_argument("pack_header: value count mismatch");
-  }
   Bytes out(spec.byte_width(), 0);
-  std::size_t bit_pos = 0;
-  for (std::size_t i = 0; i < spec.fields.size(); ++i) {
-    const unsigned bits = spec.fields[i].bits;
-    const std::uint64_t v = values[i];
-    // Write `bits` bits of v, MSB first, starting at bit_pos.
-    for (unsigned b = 0; b < bits; ++b) {
-      const std::uint64_t bit = (v >> (bits - 1 - b)) & 1;
-      if (bit != 0) {
-        out[(bit_pos + b) / 8] |=
-            static_cast<std::uint8_t>(0x80 >> ((bit_pos + b) % 8));
-      }
-    }
-    bit_pos += bits;
-  }
+  pack_into(spec, values, out.data());
   return out;
 }
 
-std::vector<std::uint64_t> unpack_header(const HeaderSpec& spec,
-                                         BytesView data) {
+void unpack_header(const HeaderSpec& spec, BytesView data,
+                   std::uint64_t* values) {
   if (data.size() < spec.byte_width()) {
     throw std::invalid_argument("unpack_header: buffer shorter than header " +
                                 spec.name);
   }
-  std::vector<std::uint64_t> values(spec.fields.size(), 0);
   std::size_t bit_pos = 0;
   for (std::size_t i = 0; i < spec.fields.size(); ++i) {
-    const unsigned bits = spec.fields[i].bits;
-    std::uint64_t v = 0;
-    for (unsigned b = 0; b < bits; ++b) {
-      const std::uint8_t byte = data[(bit_pos + b) / 8];
-      const int bit = (byte >> (7 - ((bit_pos + b) % 8))) & 1;
-      v = (v << 1) | static_cast<std::uint64_t>(bit);
-    }
-    values[i] = v;
-    bit_pos += bits;
+    const FieldSpec& field = spec.fields[i];
+    const FieldWindow fw = window_of(spec, field, bit_pos);
+    Window w = 0;
+    for (unsigned k = 0; k < fw.span; ++k) w = (w << 8) | data[fw.first + k];
+    values[i] = static_cast<std::uint64_t>(w >> fw.shift) &
+                width_mask(field.bits);
+    bit_pos += field.bits;
   }
+}
+
+std::vector<std::uint64_t> unpack_header(const HeaderSpec& spec,
+                                         BytesView data) {
+  std::vector<std::uint64_t> values(spec.fields.size(), 0);
+  unpack_header(spec, data, values.data());
   return values;
 }
 

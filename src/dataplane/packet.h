@@ -84,13 +84,20 @@ class ParsedPacket {
   std::vector<HeaderInstance> headers_;
 };
 
-/// Serialize field values into bytes per the spec (big-endian bit packing).
+/// Serialize field values into bytes per the spec (big-endian bit packing;
+/// a field need not start on a byte boundary). Bits of a value above its
+/// field's width are dropped. Throws std::invalid_argument on a value count
+/// that does not match the spec or a field wider than 64 bits.
 [[nodiscard]] Bytes pack_header(const HeaderSpec& spec,
                                 const std::vector<std::uint64_t>& values);
 
 /// Extract field values from bytes. Throws std::invalid_argument if the
-/// buffer is shorter than the header.
+/// buffer is shorter than the header or a field is wider than 64 bits.
 [[nodiscard]] std::vector<std::uint64_t> unpack_header(const HeaderSpec& spec,
                                                        BytesView data);
+
+/// unpack_header into caller storage of spec.fields.size() values.
+void unpack_header(const HeaderSpec& spec, BytesView data,
+                   std::uint64_t* values);
 
 }  // namespace pera::dataplane

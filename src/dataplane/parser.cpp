@@ -9,20 +9,22 @@ void ParserProgram::add_state(ParserState state) {
 }
 
 ParsedPacket ParserProgram::parse(const RawPacket& raw) const {
+  static const std::string kStart = "start";
   ParsedPacket pkt;
   pkt.meta.ingress_port = raw.port;
+  pkt.headers().reserve(schema_.size());
 
-  std::string state_name = "start";
+  const std::string* state_name = &kStart;
   std::size_t offset = 0;
   std::size_t steps = 0;
 
-  while (state_name != "accept") {
+  while (*state_name != "accept") {
     if (++steps > 64) {
       throw std::runtime_error("parser: too many states (loop in parse graph?)");
     }
-    const auto sit = states_.find(state_name);
+    const auto sit = states_.find(*state_name);
     if (sit == states_.end()) {
-      throw std::runtime_error("parser: unknown state '" + state_name + "'");
+      throw std::runtime_error("parser: unknown state '" + *state_name + "'");
     }
     const ParserState& st = sit->second;
 
@@ -35,7 +37,7 @@ ParsedPacket ParserProgram::parse(const RawPacket& raw) const {
       const HeaderSpec& spec = hit->second;
       const BytesView rest{raw.data.data() + offset, raw.data.size() - offset};
       HeaderInstance& h = pkt.add_header(spec);
-      h.values = unpack_header(spec, rest);
+      unpack_header(spec, rest, h.values.data());
       offset += spec.byte_width();
       extracted = &h;
     }
@@ -47,10 +49,10 @@ ParsedPacket ParserProgram::parse(const RawPacket& raw) const {
       }
       const std::uint64_t v = extracted->get(st.select->field);
       const auto cit = st.select->cases.find(v);
-      state_name =
-          cit == st.select->cases.end() ? st.select->default_next : cit->second;
+      state_name = cit == st.select->cases.end() ? &st.select->default_next
+                                                 : &cit->second;
     } else {
-      state_name = st.next;
+      state_name = &st.next;
     }
   }
 

@@ -43,8 +43,10 @@ class ParserProgram {
     return states_;
   }
 
-  /// Parse a raw packet into a ParsedPacket.
-  /// Throws std::runtime_error on unknown states/headers or short packets.
+  /// Parse a raw packet into a ParsedPacket. Throws std::runtime_error on
+  /// unknown states or headers and on a loop in the parse graph, and
+  /// std::invalid_argument (from unpack_header) when the packet is shorter
+  /// than a header it must extract.
   [[nodiscard]] ParsedPacket parse(const RawPacket& raw) const;
 
   /// Canonical encoding of the parse graph, for program attestation.

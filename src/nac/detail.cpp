@@ -24,10 +24,7 @@ std::string to_string(EvidenceDetail d) {
 
 std::string describe_mask(DetailMask m) {
   std::string out;
-  for (EvidenceDetail d :
-       {EvidenceDetail::kHardware, EvidenceDetail::kProgram,
-        EvidenceDetail::kTables, EvidenceDetail::kProgState,
-        EvidenceDetail::kPacket}) {
+  for (EvidenceDetail d : kAllLevels) {
     if (has_detail(m, d)) {
       if (!out.empty()) out += "+";
       out += to_string(d);

@@ -43,6 +43,12 @@ constexpr bool has_detail(DetailMask m, EvidenceDetail d) {
 constexpr DetailMask kAllDetail =
     static_cast<DetailMask>(0x1f);
 
+/// Every detail level, highest inertia first.
+inline constexpr EvidenceDetail kAllLevels[] = {
+    EvidenceDetail::kHardware, EvidenceDetail::kProgram,
+    EvidenceDetail::kTables, EvidenceDetail::kProgState,
+    EvidenceDetail::kPacket};
+
 /// Map a Copland attest() target name ("Hardware", "Program", "Tables",
 /// "State", "Packet") to its detail bit; unknown names map to kProgram
 /// (configuration properties ride along with the program measurement).

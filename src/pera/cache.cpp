@@ -1,23 +1,19 @@
 #include "pera/cache.h"
 
+#include <iterator>
+
 #include "obs/obs.h"
 
 namespace pera::pera {
 
-namespace {
-constexpr nac::EvidenceDetail kLevels[] = {
-    nac::EvidenceDetail::kHardware, nac::EvidenceDetail::kProgram,
-    nac::EvidenceDetail::kTables, nac::EvidenceDetail::kProgState,
-    nac::EvidenceDetail::kPacket};
-}
-
-std::optional<copland::EvidencePtr> EvidenceCache::lookup(
-    nac::DetailMask detail, const crypto::Nonce& nonce,
-    const MeasurementUnit& mu, const crypto::Digest& variant) {
+const CachedEvidence* EvidenceCache::lookup(nac::DetailMask detail,
+                                            const crypto::Nonce& nonce,
+                                            const MeasurementUnit& mu,
+                                            const CacheVariant& variant) {
   if (!enabled_) {
     ++stats_.misses;
     PERA_OBS_COUNT("pera.cache.miss");
-    return std::nullopt;
+    return nullptr;
   }
   // Packet-level evidence is never cacheable by construction.
   if (nac::has_detail(detail, nac::EvidenceDetail::kPacket)) {
@@ -25,17 +21,19 @@ std::optional<copland::EvidencePtr> EvidenceCache::lookup(
     PERA_OBS_COUNT("pera.cache.miss");
     PERA_OBS_EVENT(obs::SpanKind::kCacheMiss, "pera.cache.uncacheable", 0,
                    detail);
-    return std::nullopt;
+    return nullptr;
   }
   const auto it = entries_.find(Key{detail, nonce.value, variant});
   if (it == entries_.end()) {
     ++stats_.misses;
     PERA_OBS_COUNT("pera.cache.miss");
     PERA_OBS_EVENT(obs::SpanKind::kCacheMiss, "pera.cache.cold", 0, detail);
-    return std::nullopt;
+    return nullptr;
   }
-  for (const auto& [level, epoch] : it->second.epochs) {
-    if (mu.epoch(level) != epoch) {
+  for (std::size_t i = 0; i < std::size(nac::kAllLevels); ++i) {
+    const nac::EvidenceDetail level = nac::kAllLevels[i];
+    if (nac::has_detail(detail, level) &&
+        mu.epoch(level) != it->second.epochs[i]) {
       ++stats_.misses;
       ++stats_.invalidations;
       entries_.erase(it);
@@ -43,29 +41,30 @@ std::optional<copland::EvidencePtr> EvidenceCache::lookup(
       PERA_OBS_COUNT("pera.cache.invalidation");
       PERA_OBS_EVENT(obs::SpanKind::kCacheMiss, "pera.cache.invalidated", 0,
                      detail);
-      return std::nullopt;
+      return nullptr;
     }
   }
   ++stats_.hits;
   PERA_OBS_COUNT("pera.cache.hit");
   PERA_OBS_EVENT(obs::SpanKind::kCacheHit, "pera.cache", 0, detail);
-  return it->second.evidence;
+  CachedEvidence& cached = it->second.cached;
+  if (cached.encoded.empty()) cached.encoded = copland::encode(cached.evidence);
+  return &cached;
 }
 
 void EvidenceCache::store(nac::DetailMask detail, const crypto::Nonce& nonce,
                           copland::EvidencePtr evidence,
-                          const MeasurementUnit& mu,
-                          const crypto::Digest& variant) {
+                          const MeasurementUnit& mu, CacheVariant variant) {
   if (!enabled_) return;
   if (nac::has_detail(detail, nac::EvidenceDetail::kPacket)) return;
   Entry entry;
-  entry.evidence = std::move(evidence);
-  for (nac::EvidenceDetail level : kLevels) {
-    if (nac::has_detail(detail, level)) {
-      entry.epochs[level] = mu.epoch(level);
+  entry.cached.evidence = std::move(evidence);
+  for (std::size_t i = 0; i < std::size(nac::kAllLevels); ++i) {
+    if (nac::has_detail(detail, nac::kAllLevels[i])) {
+      entry.epochs[i] = mu.epoch(nac::kAllLevels[i]);
     }
   }
-  entries_[Key{detail, nonce.value, variant}] = std::move(entry);
+  entries_[Key{detail, nonce.value, std::move(variant)}] = std::move(entry);
   PERA_OBS_GAUGE("pera.cache.entries",
                  static_cast<std::int64_t>(entries_.size()));
 }

@@ -7,8 +7,11 @@
 // exactly the freshness/overhead trade-off Fig. 4 describes.
 #pragma once
 
+#include <array>
+#include <iterator>
 #include <map>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "copland/evidence.h"
 #include "crypto/nonce.h"
@@ -29,6 +32,24 @@ struct CacheStats {
   }
 };
 
+/// A cached attestation: the evidence tree and its canonical encoding
+/// (copland::encode of the tree). The encoding is made once, on the
+/// entry's first hit, so entries that are never hit (fresh nonces) hold
+/// no second copy of their evidence.
+struct CachedEvidence {
+  copland::EvidencePtr evidence;
+  crypto::Bytes encoded;
+};
+
+/// What besides detail and nonce tells two instructions' evidence apart:
+/// their hash/sign flags and their custom attestation targets.
+struct CacheVariant {
+  std::uint8_t flags = 0;  // bit 0: hash_evidence, bit 1: sign_evidence
+  std::vector<std::string> custom_targets;
+
+  auto operator<=>(const CacheVariant&) const = default;
+};
+
 class EvidenceCache {
  public:
   explicit EvidenceCache(bool enabled = true) : enabled_(enabled) {}
@@ -37,17 +58,18 @@ class EvidenceCache {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Look up cached evidence for (detail mask, nonce, instruction
-  /// variant). Returns the cached evidence when present and every covered
-  /// level's epoch still matches. `variant` disambiguates instructions
-  /// with equal detail but different hash/sign flags or custom targets.
-  [[nodiscard]] std::optional<copland::EvidencePtr> lookup(
-      nac::DetailMask detail, const crypto::Nonce& nonce,
-      const MeasurementUnit& mu, const crypto::Digest& variant = {});
+  /// variant). Returns the entry, encoding included, when present and
+  /// every covered level's epoch still matches, else nullptr. The pointer
+  /// is valid until the next store, lookup or clear.
+  [[nodiscard]] const CachedEvidence* lookup(nac::DetailMask detail,
+                                             const crypto::Nonce& nonce,
+                                             const MeasurementUnit& mu,
+                                             const CacheVariant& variant = {});
 
   /// Store evidence with the current epochs of its covered levels.
   void store(nac::DetailMask detail, const crypto::Nonce& nonce,
              copland::EvidencePtr evidence, const MeasurementUnit& mu,
-             const crypto::Digest& variant = {});
+             CacheVariant variant = {});
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CacheStats{}; }
@@ -58,12 +80,13 @@ class EvidenceCache {
   struct Key {
     nac::DetailMask detail;
     crypto::Digest nonce;
-    crypto::Digest variant;
+    CacheVariant variant;
     auto operator<=>(const Key&) const = default;
   };
   struct Entry {
-    copland::EvidencePtr evidence;
-    std::map<nac::EvidenceDetail, std::uint64_t> epochs;
+    CachedEvidence cached;
+    // Epoch of each of nac::kAllLevels the key's detail covers.
+    std::array<std::uint64_t, std::size(nac::kAllLevels)> epochs{};
   };
 
   bool enabled_;

@@ -7,13 +7,6 @@ namespace pera::pera {
 using copland::Evidence;
 using copland::EvidencePtr;
 
-namespace {
-constexpr nac::EvidenceDetail kLevels[] = {
-    nac::EvidenceDetail::kHardware, nac::EvidenceDetail::kProgram,
-    nac::EvidenceDetail::kTables, nac::EvidenceDetail::kProgState,
-    nac::EvidenceDetail::kPacket};
-}
-
 netsim::SimTime EvidenceEngine::sign_cost() const {
   return signer_->scheme() == crypto::SignatureScheme::kXmss
              ? costs_.sign_cost_xmss
@@ -45,20 +38,19 @@ EngineResult EvidenceEngine::create(const nac::HopInstruction& inst,
           ? nac::mask_of(nac::EvidenceDetail::kProgram)
           : inst.detail;
 
-  // Instruction variant key: same detail with different hash/sign flags or
-  // custom targets must not share cache slots.
-  crypto::Sha256 variant_h;
-  variant_h.update("pera.engine.variant");
-  const std::uint8_t fl = static_cast<std::uint8_t>(
-      (inst.hash_evidence ? 1 : 0) | (inst.sign_evidence ? 2 : 0));
-  variant_h.update(crypto::BytesView{&fl, 1});
-  for (const auto& t : inst.custom_targets) variant_h.update(t);
-  const crypto::Digest variant = variant_h.finish();
+  // Same detail with different hash/sign flags or custom targets must not
+  // share cache slots.
+  CacheVariant variant{
+      static_cast<std::uint8_t>((inst.hash_evidence ? 1 : 0) |
+                                (inst.sign_evidence ? 2 : 0)),
+      inst.custom_targets};
 
   // Cache covers everything but packet-level freshness.
   res.cost += costs_.cache_lookup_cost;
-  if (auto cached = cache_->lookup(detail, nonce, *mu_, variant)) {
-    res.evidence = *cached;
+  if (const CachedEvidence* cached =
+          cache_->lookup(detail, nonce, *mu_, variant)) {
+    res.evidence = cached->evidence;
+    res.encoded = cached->encoded;
     res.from_cache = true;
     span.set_cost(res.cost);
     span.set_value(1);  // served from cache
@@ -69,7 +61,7 @@ EngineResult EvidenceEngine::create(const nac::HopInstruction& inst,
   if (!nonce.value.is_zero()) {
     acc = Evidence::extend(acc, Evidence::nonce_ev(nonce));
   }
-  for (nac::EvidenceDetail level : kLevels) {
+  for (nac::EvidenceDetail level : nac::kAllLevels) {
     if (!nac::has_detail(detail, level)) continue;
     const crypto::Digest value = mu_->measure(level, packet_bytes);
     acc = Evidence::extend(
@@ -104,7 +96,8 @@ EngineResult EvidenceEngine::create(const nac::HopInstruction& inst,
     PERA_OBS_EVENT(obs::SpanKind::kSign, place_, sign_cost());
   }
 
-  cache_->store(detail, nonce, acc, *mu_, variant);
+  res.encoded = copland::encode(acc);
+  cache_->store(detail, nonce, acc, *mu_, std::move(variant));
   res.evidence = std::move(acc);
   span.set_cost(res.cost);
   return res;

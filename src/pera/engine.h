@@ -17,6 +17,7 @@ namespace pera::pera {
 
 struct EngineResult {
   copland::EvidencePtr evidence;
+  crypto::Bytes encoded;  // copland::encode(evidence); empty on guard failure
   netsim::SimTime cost = 0;
   bool from_cache = false;
   bool guard_failed = false;

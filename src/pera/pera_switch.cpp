@@ -12,11 +12,7 @@ namespace {
 /// Attribute encoded-evidence bytes to each inertia level present in the
 /// instruction's detail mask (docs/OBSERVABILITY.md: pera.wire.bytes.*).
 void count_wire_bytes_per_level(nac::DetailMask detail, std::size_t bytes) {
-  constexpr nac::EvidenceDetail kLevels[] = {
-      nac::EvidenceDetail::kHardware, nac::EvidenceDetail::kProgram,
-      nac::EvidenceDetail::kTables, nac::EvidenceDetail::kProgState,
-      nac::EvidenceDetail::kPacket};
-  for (const nac::EvidenceDetail level : kLevels) {
+  for (const nac::EvidenceDetail level : nac::kAllLevels) {
     if (nac::has_detail(detail, level)) {
       obs::count("pera.wire.bytes." + nac::to_string(level), bytes);
     }
@@ -100,24 +96,28 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
         sampler_fires(header->nonce.value, header->sampling_log2)) {
       PERA_OBS_COUNT("pera.sampler.attest");
       PERA_OBS_EVENT(obs::SpanKind::kSampleDecision, name_, 0, 1);
+      // Guard tests see the parsed packet.
+      const GuardTest guard = [this, &pkt](const std::string& test) {
+        const auto it = guards_.find(test);
+        return it == guards_.end() ? true : it->second(pkt);
+      };
       for (const nac::HopInstruction* inst : instructions) {
-        // Guard tests see the parsed packet.
-        const GuardTest guard = [this, &pkt](const std::string& test) {
-          const auto it = guards_.find(test);
-          return it == guards_.end() ? true : it->second(pkt);
-        };
         const bool goes_out_of_band = inst->out_of_band || !header->in_band();
         const bool batch_this = goes_out_of_band && batcher_.has_value() &&
                                 inst->sign_evidence;
 
         // Deferred signing: create the evidence unsigned; the batcher
         // signs one Merkle root per config_.oob_batch_size items.
-        nac::HopInstruction effective = *inst;
-        if (batch_this) effective.sign_evidence = false;
+        std::optional<nac::HopInstruction> unsigned_inst;
+        if (batch_this) {
+          unsigned_inst = *inst;
+          unsigned_inst->sign_evidence = false;
+        }
+        const nac::HopInstruction& effective =
+            unsigned_inst ? *unsigned_inst : *inst;
 
-        const crypto::Bytes pkt_bytes = in.data;
         EngineResult ev =
-            engine_.create(effective, header->nonce, &pkt_bytes, &guard);
+            engine_.create(effective, header->nonce, &in.data, &guard);
         result.ra_latency += ev.cost;
         if (ev.guard_failed) {
           ++stats_.guard_failures;
@@ -133,7 +133,9 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
         if (batch_this) {
           pending_oob_.push_back(
               PendingOob{collector, ev.evidence, header->nonce});
-          const auto receipts = batcher_->add(copland::digest(ev.evidence));
+          // copland::digest(ev.evidence), without encoding it again.
+          const auto receipts = batcher_->add(crypto::sha256(
+              crypto::BytesView{ev.encoded.data(), ev.encoded.size()}));
           if (receipts) {
             // One signing operation amortized over the whole batch.
             result.ra_latency += config_.costs.sign_cost_hmac;
@@ -163,27 +165,27 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
           continue;
         }
 
-        const crypto::Bytes encoded = copland::encode(ev.evidence);
+        const std::size_t encoded_size = ev.encoded.size();
         if (obs::enabled()) {
           count_wire_bytes_per_level(effective.detail == 0
                                          ? nac::mask_of(
                                                nac::EvidenceDetail::kProgram)
                                          : effective.detail,
-                                     encoded.size());
+                                     encoded_size);
         }
-        PERA_OBS_EVENT(obs::SpanKind::kWireEncode, name_, 0, encoded.size());
+        PERA_OBS_EVENT(obs::SpanKind::kWireEncode, name_, 0, encoded_size);
         if (goes_out_of_band) {
-          result.out_of_band.push_back(
-              OutOfBandEvidence{collector, encoded, header->nonce});
+          result.out_of_band.push_back(OutOfBandEvidence{
+              collector, std::move(ev.encoded), header->nonce});
           ++stats_.out_of_band_messages;
           PERA_OBS_COUNT("pera.oob.messages");
-          PERA_OBS_COUNT("pera.oob.bytes", encoded.size());
+          PERA_OBS_COUNT("pera.oob.bytes", encoded_size);
         } else if (carrier != nullptr) {
           // In-band: compose with what earlier hops appended.
-          carrier->add(name_, encoded);
-          result.inband_bytes_added += encoded.size() + name_.size() + 8;
-          stats_.inband_bytes_added += encoded.size();
-          PERA_OBS_COUNT("pera.inband.bytes", encoded.size());
+          carrier->add(name_, std::move(ev.encoded));
+          result.inband_bytes_added += encoded_size + name_.size() + 8;
+          stats_.inband_bytes_added += encoded_size;
+          PERA_OBS_COUNT("pera.inband.bytes", encoded_size);
         }
       }
     } else if (!instructions.empty()) {

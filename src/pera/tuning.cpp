@@ -7,11 +7,6 @@ namespace pera::pera {
 
 namespace {
 
-constexpr nac::EvidenceDetail kLevels[] = {
-    nac::EvidenceDetail::kHardware, nac::EvidenceDetail::kProgram,
-    nac::EvidenceDetail::kTables, nac::EvidenceDetail::kProgState,
-    nac::EvidenceDetail::kPacket};
-
 // Epoch-change rate (per second) of a detail level under the workload —
 // the quantitative reading of Fig. 4's inertia axis.
 double churn_rate(nac::EvidenceDetail level, const WorkloadProfile& w) {
@@ -36,7 +31,7 @@ double cache_hit_rate(nac::DetailMask detail, const WorkloadProfile& w) {
   if (nac::has_detail(detail, nac::EvidenceDetail::kPacket)) return 0.0;
   double hit = 1.0;
   const double per_packet_interval = 1.0 / std::max(w.packets_per_second, 1.0);
-  for (nac::EvidenceDetail level : kLevels) {
+  for (nac::EvidenceDetail level : nac::kAllLevels) {
     if (!nac::has_detail(detail, level)) continue;
     const double rate = churn_rate(level, w);
     // P(no change during one inter-packet gap), Poisson arrivals.
@@ -48,7 +43,7 @@ double cache_hit_rate(nac::DetailMask detail, const WorkloadProfile& w) {
 // Cost of creating evidence from scratch (miss path).
 double miss_cost_ns(const PeraConfig& config, nac::DetailMask detail) {
   double cost = static_cast<double>(config.costs.cache_lookup_cost);
-  for (nac::EvidenceDetail level : kLevels) {
+  for (nac::EvidenceDetail level : nac::kAllLevels) {
     if (nac::has_detail(detail, level)) {
       cost += static_cast<double>(config.costs.measure_cost);
     }

@@ -149,7 +149,7 @@ TEST(Cache, PacketLevelNeverCached) {
   const auto mask = nac::EvidenceDetail::kProgram | nac::EvidenceDetail::kPacket;
   cache.store(mask, {}, copland::Evidence::empty(), sw.measurement());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(mask, {}, sw.measurement()).has_value());
+  EXPECT_EQ(cache.lookup(mask, {}, sw.measurement()), nullptr);
 }
 
 TEST(Cache, DisabledAlwaysMisses) {
@@ -262,6 +262,174 @@ TEST(Engine, CostsAccrue) {
                          nullptr);
   EXPECT_TRUE(r2.from_cache);
   EXPECT_LT(r2.cost, r.cost);
+}
+
+// --- encoded evidence served from the cache ---------------------------------------
+
+// One signed, out-of-band instruction for every switch at `detail`.
+nac::PolicyHeader oob_header(nac::DetailMask detail) {
+  nac::CompiledPolicy pol;
+  nac::HopInstruction inst;
+  inst.wildcard = true;
+  inst.detail = detail;
+  inst.sign_evidence = true;
+  inst.out_of_band = true;
+  pol.hops = {inst};
+  pol.appraiser = "Appraiser";
+  return nac::make_header(pol, crypto::Nonce{crypto::sha256("n")}, true);
+}
+
+// The evidence bytes the switch emits for one packet.
+crypto::Bytes emitted(PeraSwitch& sw, const nac::PolicyHeader& hdr) {
+  nac::EvidenceCarrier carrier;
+  const PeraResult res =
+      sw.process(make_tcp_packet({.ip_dst = 0x0a000202}), &hdr, &carrier);
+  EXPECT_EQ(res.out_of_band.size(), 1u);
+  return res.out_of_band.empty() ? crypto::Bytes{}
+                                 : res.out_of_band[0].evidence;
+}
+
+TEST(CacheBytes, HitServesEncodingOfReturnedTree) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  const nac::HopInstruction inst = program_inst();
+  const crypto::Nonce n{crypto::sha256("n")};
+  const EngineResult miss = sw.engine().create(inst, n, nullptr, nullptr);
+  const EngineResult hit = sw.engine().create(inst, n, nullptr, nullptr);
+  ASSERT_FALSE(miss.from_cache);
+  ASSERT_TRUE(hit.from_cache);
+  EXPECT_EQ(miss.encoded, copland::encode(miss.evidence));
+  EXPECT_EQ(hit.encoded, copland::encode(hit.evidence));
+  EXPECT_EQ(hit.encoded, miss.encoded);
+
+  const nac::PolicyHeader hdr =
+      oob_header(nac::mask_of(nac::EvidenceDetail::kProgram));
+  // Same nonce and instruction variant: both packets hit the entry above.
+  const crypto::Bytes first = emitted(sw, hdr);
+  const crypto::Bytes second = emitted(sw, hdr);
+  EXPECT_EQ(sw.cache().stats().hits, 3u);
+  EXPECT_EQ(first, miss.encoded);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(second, copland::encode(copland::decode(
+                        crypto::BytesView{second.data(), second.size()})));
+}
+
+TEST(CacheBytes, VariantsDoNotShareEntries) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  const crypto::Nonce n{crypto::sha256("n")};
+  nac::HopInstruction hashed = program_inst();
+  hashed.hash_evidence = true;
+  nac::HopInstruction custom = program_inst();
+  custom.custom_targets = {"Firmware"};
+  const EngineResult plain =
+      sw.engine().create(program_inst(), n, nullptr, nullptr);
+  for (const nac::HopInstruction& inst : {hashed, custom}) {
+    const EngineResult res = sw.engine().create(inst, n, nullptr, nullptr);
+    EXPECT_FALSE(res.from_cache);
+    EXPECT_NE(res.encoded, plain.encoded);
+  }
+  EXPECT_EQ(sw.cache().size(), 3u);
+  EXPECT_TRUE(sw.engine().create(custom, n, nullptr, nullptr).from_cache);
+}
+
+// After `mutate`, the next packet carries a fresh encoding of the new
+// evidence — the bytes an uncached switch in the same state emits — not
+// the bytes cached before.
+void expect_fresh_bytes_after(const std::function<void(PeraSwitch&)>& mutate) {
+  Bed bed;
+  PeraConfig uncached;
+  uncached.cache_enabled = false;
+  PeraSwitch sw = bed.make_switch();
+  PeraSwitch twin = bed.make_switch(uncached);
+  const nac::PolicyHeader hdr =
+      oob_header(nac::EvidenceDetail::kProgram | nac::EvidenceDetail::kTables |
+                 nac::EvidenceDetail::kProgState);
+  std::vector<crypto::Bytes> seen[2];
+  PeraSwitch* switches[2] = {&sw, &twin};
+  for (int i = 0; i < 2; ++i) {
+    switches[i]->dataplane().registers().declare("r", 2);
+    seen[i].push_back(emitted(*switches[i], hdr));
+    seen[i].push_back(emitted(*switches[i], hdr));
+    mutate(*switches[i]);
+    seen[i].push_back(emitted(*switches[i], hdr));
+    seen[i].push_back(emitted(*switches[i], hdr));
+  }
+  EXPECT_EQ(sw.cache().stats().hits, 2u);
+  EXPECT_EQ(sw.cache().stats().invalidations, 1u);
+  EXPECT_EQ(seen[0][1], seen[0][0]);
+  EXPECT_NE(seen[0][2], seen[0][1]);
+  EXPECT_EQ(seen[0][3], seen[0][2]);
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
+TEST(CacheBytes, TableUpdateServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    dataplane::TableEntry e;
+    e.keys = {dataplane::KeyMatch::lpm(0xC0A80000, 16)};
+    e.action = "forward";
+    e.action_params = {2};
+    sw.update_table("route", e);
+  });
+}
+
+TEST(CacheBytes, RegisterWriteServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    sw.dataplane().registers().write("r", 0, 7);
+  });
+}
+
+TEST(CacheBytes, ProgramLoadServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    sw.load_program(dataplane::make_rogue_router("v1"));
+  });
+}
+
+// Everything one fixed configuration emits — forwarded frames, out-of-band
+// and in-band evidence, over misses and hits — hashed and pinned to the
+// value the bit-at-a-time header codec and per-packet evidence encoding
+// produced.
+TEST(CacheBytes, PinnedEmittedBytesDigest) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  nac::CompiledPolicy pol;
+  nac::HopInstruction oob;
+  oob.wildcard = true;
+  oob.detail = nac::EvidenceDetail::kProgram | nac::EvidenceDetail::kTables;
+  oob.sign_evidence = true;
+  oob.out_of_band = true;
+  nac::HopInstruction inband;
+  inband.wildcard = true;
+  inband.detail = nac::mask_of(nac::EvidenceDetail::kProgram);
+  inband.hash_evidence = true;
+  inband.sign_evidence = true;
+  pol.hops = {oob, inband};
+  pol.appraiser = "Appraiser";
+  const nac::PolicyHeader hdr =
+      nac::make_header(pol, crypto::Nonce{crypto::sha256("pinned")}, true);
+
+  crypto::Sha256 h;
+  const auto absorb = [&h](const crypto::Bytes& b) {
+    h.update(crypto::BytesView{b.data(), b.size()});
+  };
+  for (const std::uint16_t sport : {40000, 40001, 40000}) {
+    nac::EvidenceCarrier carrier;
+    const PeraResult res = sw.process(
+        make_tcp_packet({.ip_dst = 0x0a000203,
+                         .ttl = 17,
+                         .sport = sport,
+                         .payload_len = 21}),
+        &hdr, &carrier);
+    ASSERT_TRUE(res.forwarded.has_value());
+    ASSERT_EQ(res.out_of_band.size(), 1u);
+    ASSERT_EQ(carrier.records.size(), 1u);
+    absorb(res.forwarded->data);
+    absorb(res.out_of_band[0].evidence);
+    absorb(carrier.records[0].evidence);
+  }
+  EXPECT_EQ(sw.cache().stats().hits, 4u);
+  EXPECT_EQ(h.finish().hex(),
+            "1e5de7f6d976b22f6f16cd0dac1345586268c9981b2ff66a37e90741cd85a3be");
 }
 
 // --- PERA switch packet path ----------------------------------------------------
