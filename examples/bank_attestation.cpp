@@ -66,7 +66,7 @@ int main() {
     copland::Evaluator ev(dev.platform, &adv);
     const auto evidence = ev.eval(naive, copland::Evidence::empty());
     const auto verdict =
-        copland::appraise(evidence, dev.platform.goldens(), dev.keys);
+        copland::appraise(evidence, &dev.platform.goldens(), dev.keys);
     std::printf("repair attack on (1): appraisal says %s "
                 "(the bank is deceived)\n\n",
                 verdict.ok ? "CLEAN" : "compromised");
@@ -83,7 +83,7 @@ int main() {
         "*bank : @ks [av us bmon -> !] -<- @us [bmon us exts -> !]");
     const auto evidence = ev.eval(fixed, copland::Evidence::empty());
     const auto verdict =
-        copland::appraise(evidence, dev.platform.goldens(), dev.keys);
+        copland::appraise(evidence, &dev.platform.goldens(), dev.keys);
     std::printf("same attack on (2):   appraisal says %s\n\n",
                 verdict.ok ? "CLEAN (!!)" : "COMPROMISED — detected");
   }
@@ -110,7 +110,7 @@ int main() {
   const auto evidence = ev.eval(bound, ap1.relying_party,
                                 copland::Evidence::empty());
   const auto verdict =
-      copland::appraise(evidence, dev.platform.goldens(), dev.keys);
+      copland::appraise(evidence, &dev.platform.goldens(), dev.keys);
   std::printf("composite host+path evidence: %zu measurements, "
               "%zu signatures, %zu B\n",
               copland::measurements_of(evidence).size(),

@@ -138,14 +138,11 @@ std::optional<EvidencePtr> TestbedPlatform::stored(
 
 namespace {
 
-// Find the first nonce in evidence (pre-order), if any.
+// The first nonce in the evidence (pre-order), if any.
 std::optional<crypto::Nonce> find_nonce(const EvidencePtr& e) {
-  if (!e) return std::nullopt;
-  if (e->kind == EvidenceKind::kNonce) return e->nonce;
-  for (const auto& c : {e->child, e->left, e->right}) {
-    if (auto n = find_nonce(c)) return n;
-  }
-  return std::nullopt;
+  const std::vector<const Evidence*> nonces = nonces_of(e);
+  if (nonces.empty()) return std::nullopt;
+  return nonces.front()->nonce;
 }
 
 }  // namespace
@@ -168,7 +165,7 @@ void TestbedPlatform::install_default_funcs(crypto::NonceRegistry& registry) {
   register_func("appraise", [this](Evaluator&, const std::string& place,
                                    const std::vector<TermPtr>&,
                                    const EvidencePtr& input) {
-    const AppraisalResult res = pera::copland::appraise(input, golden_, keys_);
+    const AppraisalResult res = pera::copland::appraise(input, &golden_, keys_);
     crypto::Bytes verdict;
     verdict.push_back(res.ok ? 1 : 0);
     return Evidence::func_out("appraise", place, input, std::move(verdict));
@@ -222,21 +219,25 @@ std::string to_string(AppraisalFinding::Kind k) {
     case AppraisalFinding::Kind::kUnknownSigner: return "unknown-signer";
     case AppraisalFinding::Kind::kMissingNonce: return "missing-nonce";
     case AppraisalFinding::Kind::kStaleNonce: return "stale-nonce";
+    case AppraisalFinding::Kind::kMalformed: return "malformed";
   }
   return "?";
 }
 
-namespace {
-
-void appraise_rec(const EvidencePtr& e,
-                  const std::map<ComponentId, Digest>& goldens,
-                  const crypto::KeyStore& keys, AppraisalResult& res) {
-  if (!e) return;
-  switch (e->kind) {
-    case EvidenceKind::kMeasurement: {
+AppraisalResult appraise(const EvidencePtr& evidence,
+                         const std::map<ComponentId, Digest>* goldens,
+                         const crypto::VerifierLookup& keys,
+                         const crypto::Nonce& round_nonce) {
+  AppraisalResult res;
+  res.evidence = evidence;
+  bool nonce_seen = false;
+  // The one walk: signatures, goldens and the round nonce, pre-order.
+  const auto visit = [&](const auto& self, const EvidencePtr& e) -> void {
+    if (!e) return;
+    if (e->kind == EvidenceKind::kMeasurement && goldens != nullptr) {
       ++res.measurements_checked;
-      const auto it = goldens.find(ComponentId{e->place, e->target});
-      if (it == goldens.end()) {
+      const auto it = goldens->find(ComponentId{e->place, e->target});
+      if (it == goldens->end()) {
         res.add({AppraisalFinding::Kind::kUnknownComponent, e->place,
                  "no golden value for " + e->target});
       } else if (it->second != e->value) {
@@ -244,48 +245,47 @@ void appraise_rec(const EvidencePtr& e,
                  e->target + " measured " + e->value.short_hex() +
                      ", golden " + it->second.short_hex()});
       }
-      break;
-    }
-    case EvidenceKind::kSignature: {
-      ++res.signatures_checked;
+    } else if (e->kind == EvidenceKind::kNonce) {
+      nonce_seen = nonce_seen || e->nonce == round_nonce;
+    } else if (e->kind == EvidenceKind::kSignature) {
+      // Pre-order: the first signature is the top node, if that is signed.
+      const Digest content = digest(e->child);
+      if (res.signatures_checked++ == 0) res.content_digest = content;
       const crypto::Verifier* v = keys.verifier_by_key_id(e->sig.key_id);
       if (v == nullptr) {
         res.add({AppraisalFinding::Kind::kUnknownSigner, e->place,
                  "key id " + e->sig.key_id.short_hex()});
-      } else if (!crypto::verify_any(*v, digest(e->child), e->sig)) {
+      } else if (!crypto::verify_any(*v, content, e->sig)) {
         res.add({AppraisalFinding::Kind::kBadSignature, e->place,
                  "signature by " + e->place + " does not verify"});
       }
-      break;
     }
-    default:
-      break;
-  }
-  appraise_rec(e->child, goldens, keys, res);
-  appraise_rec(e->left, goldens, keys, res);
-  appraise_rec(e->right, goldens, keys, res);
-}
-
-bool contains_nonce(const EvidencePtr& e, const crypto::Nonce& n) {
-  if (!e) return false;
-  if (e->kind == EvidenceKind::kNonce && e->nonce == n) return true;
-  return contains_nonce(e->child, n) || contains_nonce(e->left, n) ||
-         contains_nonce(e->right, n);
-}
-
-}  // namespace
-
-AppraisalResult appraise(const EvidencePtr& evidence,
-                         const std::map<ComponentId, Digest>& goldens,
-                         const crypto::KeyStore& keys,
-                         const std::optional<crypto::Nonce>& expected_nonce) {
-  AppraisalResult res;
-  appraise_rec(evidence, goldens, keys, res);
-  if (expected_nonce && !contains_nonce(evidence, *expected_nonce)) {
+    self(self, e->child);
+    self(self, e->left);
+    self(self, e->right);
+  };
+  visit(visit, evidence);
+  if (!round_nonce.value.is_zero() && !nonce_seen) {
     res.add({AppraisalFinding::Kind::kMissingNonce, "",
-             "expected nonce " + expected_nonce->value.short_hex()});
+             "expected nonce " + round_nonce.value.short_hex()});
+  }
+  if (evidence && evidence->kind != EvidenceKind::kSignature) {
+    res.content_digest = digest(evidence);
   }
   return res;
+}
+
+AppraisalResult appraise(crypto::BytesView evidence,
+                         const std::map<ComponentId, Digest>* goldens,
+                         const crypto::VerifierLookup& keys,
+                         const crypto::Nonce& round_nonce) {
+  try {
+    return appraise(decode(evidence), goldens, keys, round_nonce);
+  } catch (const std::invalid_argument& e) {
+    AppraisalResult res;
+    res.add({AppraisalFinding::Kind::kMalformed, "", e.what()});
+    return res;
+  }
 }
 
 }  // namespace pera::copland

@@ -111,6 +111,7 @@ struct AppraisalFinding {
     kUnknownSigner,      // no verifier for the signing key
     kMissingNonce,       // expected nonce not present in evidence
     kStaleNonce,         // nonce replayed
+    kMalformed,          // evidence bytes do not decode
   };
   Kind kind;
   std::string place;
@@ -122,6 +123,10 @@ struct AppraisalResult {
   std::vector<AppraisalFinding> findings;
   std::size_t measurements_checked = 0;
   std::size_t signatures_checked = 0;
+  EvidencePtr evidence;  // the evidence appraised; null if it did not decode
+  /// copland::digest of the evidence under the top signature (the whole
+  /// term when unsigned).
+  crypto::Digest content_digest{};
 
   void add(AppraisalFinding f) {
     ok = false;
@@ -129,15 +134,21 @@ struct AppraisalResult {
   }
 };
 
-/// Appraise evidence against golden values and known keys:
-///  * every measurement must match its golden value,
-///  * every signature must verify under a known key,
-///  * if `expected_nonce` is given, the evidence must contain it.
+/// The appraisal core, the one verdict function on every path. One walk
+/// checks that every signature verifies under a key `keys` resolves by
+/// key id, that measurements match `goldens` when the caller holds them
+/// (non-null), and that the evidence contains `round_nonce` if nonzero.
 [[nodiscard]] AppraisalResult appraise(
     const EvidencePtr& evidence,
-    const std::map<ComponentId, crypto::Digest>& goldens,
-    const crypto::KeyStore& keys,
-    const std::optional<crypto::Nonce>& expected_nonce = std::nullopt);
+    const std::map<ComponentId, crypto::Digest>* goldens,
+    const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {});
+
+/// The same over the canonical encoding; bytes that do not decode fail
+/// with a kMalformed finding instead of throwing.
+[[nodiscard]] AppraisalResult appraise(
+    crypto::BytesView evidence,
+    const std::map<ComponentId, crypto::Digest>* goldens,
+    const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {});
 
 [[nodiscard]] std::string to_string(AppraisalFinding::Kind k);
 

@@ -65,15 +65,12 @@ void SwitchNode::on_deliver(Network& net, NodeId self, Message msg) {
 }
 
 void AppraiserNode::appraise_and_reply(Network& net, NodeId self,
-                                       const copland::EvidencePtr& evidence,
+                                       crypto::BytesView evidence,
                                        const crypto::Nonce& nonce,
                                        NodeId reply_to,
                                        bool enforce_freshness) {
-  const std::optional<crypto::Nonce> expected =
-      nonce.value.is_zero() ? std::nullopt : std::make_optional(nonce);
-  const ra::AttestationResult res =
-      appraiser_.appraise(evidence, expected, /*certify=*/true, net.now(),
-                          enforce_freshness);
+  const ra::AttestationResult res = appraiser_.appraise(
+      evidence, nonce, /*certify=*/true, net.now(), enforce_freshness);
   if (!res.ok) ++failures_;
   if (res.certificate && reply_to != netsim::kNoNode) {
     Message out;
@@ -87,31 +84,27 @@ void AppraiserNode::appraise_and_reply(Network& net, NodeId self,
 
 void AppraiserNode::on_deliver(Network& net, NodeId self, Message msg) {
   if (msg.type == "evidence") {
-    const EvidenceMsg em = EvidenceMsg::deserialize(
-        crypto::BytesView{msg.payload.data(), msg.payload.size()});
-    const copland::EvidencePtr evidence = copland::decode(
-        crypto::BytesView{em.evidence.data(), em.evidence.size()});
+    const EvidenceMsg em = EvidenceMsg::deserialize(msg.payload);
     // Per-flow evidence reuses one nonce across packets; the flow_id tag
     // distinguishes flow evidence (no per-message freshness) from one-shot
     // challenge responses (strict freshness).
-    appraise_and_reply(net, self, evidence, em.nonce, msg.reply_to,
+    appraise_and_reply(net, self, em.evidence, em.nonce, msg.reply_to,
                        /*enforce_freshness=*/msg.flow_id == 0);
     return;
   }
   if (msg.type == "carrier") {
-    // Accumulated in-band evidence: fold records into one sequence and
-    // appraise the composite.
-    const EvidenceMsg em = EvidenceMsg::deserialize(
-        crypto::BytesView{msg.payload.data(), msg.payload.size()});
-    const nac::EvidenceCarrier carrier = nac::EvidenceCarrier::deserialize(
-        crypto::BytesView{em.evidence.data(), em.evidence.size()});
-    copland::EvidencePtr acc = copland::Evidence::empty();
+    // In-band evidence: appraise the Evidence::extend fold of the records,
+    // seq(…seq(r₁, r₂)…, rₙ), encoded as n−1 seq tags then r₁ … rₙ.
+    const EvidenceMsg em = EvidenceMsg::deserialize(msg.payload);
+    const nac::EvidenceCarrier carrier =
+        nac::EvidenceCarrier::deserialize(em.evidence);
+    crypto::Bytes composite(
+        carrier.records.empty() ? 0 : carrier.records.size() - 1,
+        static_cast<std::uint8_t>(copland::EvidenceKind::kSeq));
     for (const auto& rec : carrier.records) {
-      acc = copland::Evidence::extend(
-          acc, copland::decode(crypto::BytesView{rec.evidence.data(),
-                                                 rec.evidence.size()}));
+      crypto::append(composite, rec.evidence);
     }
-    appraise_and_reply(net, self, acc, em.nonce, msg.reply_to,
+    appraise_and_reply(net, self, composite, em.nonce, msg.reply_to,
                        /*enforce_freshness=*/false);
     return;
   }

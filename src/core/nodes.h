@@ -48,7 +48,7 @@ class AppraiserNode final : public netsim::NodeBehavior {
 
  private:
   void appraise_and_reply(netsim::Network& net, netsim::NodeId self,
-                          const copland::EvidencePtr& evidence,
+                          crypto::BytesView evidence,
                           const crypto::Nonce& nonce, netsim::NodeId reply_to,
                           bool enforce_freshness);
 

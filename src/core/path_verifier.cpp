@@ -67,7 +67,7 @@ void collect_hops(const EvidencePtr& e, const crypto::KeyStore& keys,
 
 PathVerdict PathVerifier::verify(const EvidencePtr& evidence) const {
   PathVerdict v;
-  v.appraisal = copland::appraise(evidence, *goldens_, *keys_);
+  v.appraisal = copland::appraise(evidence, goldens_, *keys_);
   collect_hops(evidence, *keys_, v.hops, nullptr);
   v.all_signatures_ok =
       !v.hops.empty() &&

@@ -20,7 +20,7 @@ namespace pera::crypto {
 /// verifiers (appraiser side). A single KeyStore instance models the
 /// deployment's key-provisioning authority; real deployments would split
 /// it, which the API supports via export_verifiers().
-class KeyStore {
+class KeyStore final : public VerifierLookup {
  public:
   explicit KeyStore(std::uint64_t seed) : drbg_(seed) {}
 
@@ -45,7 +45,8 @@ class KeyStore {
 
   /// Verifier by key id, or nullptr — used when appraising signatures whose
   /// producer is identified only by key id.
-  [[nodiscard]] const Verifier* verifier_by_key_id(const Digest& key_id) const;
+  [[nodiscard]] const Verifier* verifier_by_key_id(
+      const Digest& key_id) const override;
 
   /// Principal name owning `key_id`, if known.
   [[nodiscard]] std::optional<std::string> principal_of(const Digest& key_id) const;

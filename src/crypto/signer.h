@@ -75,6 +75,16 @@ class Verifier {
   [[nodiscard]] virtual Digest key_id() const = 0;
 };
 
+/// Provisioned verifiers by key id: the one lookup copland::appraise
+/// checks signatures through (KeyStore, pipeline::VerifierSet).
+class VerifierLookup {
+ public:
+  virtual ~VerifierLookup() = default;
+  /// nullptr when no provisioned key matches.
+  [[nodiscard]] virtual const Verifier* verifier_by_key_id(
+      const Digest& key_id) const = 0;
+};
+
 /// Symmetric device-key signer (simulated TPM HMAC key). The HMAC key
 /// schedule (ipad/opad compressions) is precomputed at construction;
 /// sign() clones the midstates instead of re-deriving them per signature.

@@ -290,7 +290,6 @@ AggregateCheck verify_aggregate(
   // wave's evidence fails here on every aggregate, not only when audited.
   struct Decoded {
     std::size_t index;
-    copland::EvidencePtr evidence;
     crypto::Nonce nonce;
   };
   std::vector<Decoded> decoded;
@@ -331,7 +330,7 @@ AggregateCheck verify_aggregate(
       out.blamed.push_back(e.place);
       return fail("stale or unbound evidence nonce: " + e.place);
     }
-    decoded.push_back(Decoded{i, std::move(ev), *matched});
+    decoded.push_back(Decoded{i, *matched});
   }
 
   // Seeded audit: re-appraise a sample of the carried evidence against
@@ -349,7 +348,7 @@ AggregateCheck verify_aggregate(
       const Decoded& d = decoded[order[k]];
       const AggregateEntry& e = agg.entries[d.index];
       const ra::AttestationResult res = opts.root_appraiser->appraise(
-          d.evidence, d.nonce, /*certify=*/false, /*now=*/0,
+          e.evidence, d.nonce, /*certify=*/false, /*now=*/0,
           /*enforce_freshness=*/false);
       ++out.audited;
       PERA_OBS_COUNT("fleet.audit.entries");

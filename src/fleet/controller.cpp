@@ -222,9 +222,7 @@ void RegionalNode::finish_member_round(const std::string& member,
       e.evidence_digest = sit->second.evidence_digest;
       if (ctx.carry) e.evidence = sit->second.evidence;
       if (out.verdict) {
-        last_good_[member] = LastGood{sit->second.evidence,
-                                      sit->second.evidence_digest,
-                                      sit->second.measurement_root};
+        last_good_[member] = sit->second;
       }
     }
   }
@@ -235,34 +233,26 @@ void RegionalNode::finish_member_round(const std::string& member,
 void RegionalNode::handle_evidence(netsim::Network& net,
                                    const netsim::Message& msg) {
   core::EvidenceMsg em;
-  copland::EvidencePtr ev;
   try {
-    em = core::EvidenceMsg::deserialize(
-        crypto::BytesView{msg.payload.data(), msg.payload.size()});
-    ev = copland::decode(
-        crypto::BytesView{em.evidence.data(), em.evidence.size()});
+    em = core::EvidenceMsg::deserialize(msg.payload);
   } catch (const std::exception&) {
     PERA_OBS_COUNT("fleet.evidence.malformed");
     return;
   }
-  const ra::AttestationResult res = appraiser_.appraise(
-      ev, em.nonce, /*certify=*/false, static_cast<std::int64_t>(net.now()),
-      /*enforce_freshness=*/true);
+  const auto now = static_cast<std::int64_t>(net.now());
+  const ra::AttestationResult res =
+      appraiser_.appraise(em.evidence, em.nonce, /*certify=*/false, now,
+                          /*enforce_freshness=*/true);
   crypto::Signer* signer = dep_->keys().signer_for(place_);
   if (signer == nullptr) return;
-  ra::Certificate cert;
-  cert.appraiser = place_;
-  cert.nonce = em.nonce;
-  cert.evidence_digest = copland::digest(ev);
-  cert.verdict = res.ok;
-  cert.issued_at = static_cast<std::int64_t>(net.now());
-  cert.sig = signer->sign(cert.signing_payload());
+  const ra::Certificate cert = ra::Certificate::issue(
+      place_, em.nonce, em.evidence, res.ok, now, *signer);
 
   // Stash the raw evidence under the result's nonce BEFORE feeding the
   // transport: on_result completes the round synchronously, and the
   // completion handler recovers the evidence for the aggregate entry.
-  stash_[em.nonce.value] = Stash{em.evidence, cert.evidence_digest,
-                                 measurement_root_of(ev)};
+  stash_[em.nonce.value] = Appraised{em.evidence, cert.evidence_digest,
+                                     measurement_root_of(res.detail.evidence)};
   transport_.on_result(cert, net.now());
   stash_.erase(em.nonce.value);
 }

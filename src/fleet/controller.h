@@ -122,12 +122,8 @@ class RegionalNode final : public netsim::NodeBehavior {
     bool carry = true;
     netsim::NodeId reply_to = netsim::kNoNode;
   };
-  struct Stash {
-    crypto::Bytes evidence;
-    crypto::Digest evidence_digest{};
-    crypto::Digest measurement_root{};
-  };
-  struct LastGood {
+  /// Evidence this regional appraised, kept for its aggregate entry.
+  struct Appraised {
     crypto::Bytes evidence;
     crypto::Digest evidence_digest{};
     crypto::Digest measurement_root{};
@@ -154,8 +150,8 @@ class RegionalNode final : public netsim::NodeBehavior {
   std::map<std::string, RegionCtx> regions_;
   std::map<std::string, std::string> member_region_;
   std::map<std::string, crypto::Nonce> member_wave_nonce_;
-  std::map<crypto::Digest, Stash> stash_;  // by result nonce, transient
-  std::map<std::string, LastGood> last_good_;
+  std::map<crypto::Digest, Appraised> stash_;  // by result nonce, transient
+  std::map<std::string, Appraised> last_good_;
   std::set<std::string> forged_;
   std::uint64_t waves_served_ = 0;
   std::uint64_t aggregates_sent_ = 0;

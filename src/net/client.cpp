@@ -189,7 +189,6 @@ struct SwitchFleet::FleetConn {
   std::unique_ptr<ClientSession> session;
   crypto::Bytes outq;
   std::size_t out_head = 0;
-  crypto::Bytes evidence;  // pre-signed; reused every round (flow idiom)
   std::deque<std::int64_t> inflight;  // send timestamps, FIFO per conn
   std::uint32_t interest = 0;
   bool connected = false;
@@ -373,8 +372,6 @@ std::size_t SwitchFleet::establish(int timeout_ms) {
         c.session = std::make_unique<ClientSession>(std::move(sc),
                                                     session_nonce);
         c.session->start();
-        c.evidence = make_signed_evidence(c.place, config_.measurement,
-                                          session_nonce, *c.device_signer);
         pump_writes(c);
         if (c.dead) {
           ++failed;
@@ -414,8 +411,10 @@ void SwitchFleet::send_round(FleetConn& c) {
   const std::uint64_t idx = c.idx;
   std::memcpy(nonce.value.v.data() + 16, &idx, sizeof(idx));
   c.inflight.push_back(now_ns());
+  // Signed over this round's nonce: the appraiser binds every round.
   c.session->send_evidence(
-      nonce, crypto::BytesView{c.evidence.data(), c.evidence.size()});
+      nonce, make_signed_evidence(c.place, config_.measurement, nonce,
+                                  *c.device_signer));
 }
 
 SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,

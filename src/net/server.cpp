@@ -33,7 +33,7 @@ struct AppraiserServer::Inbound {
   int fd = -1;                 // kNewConn
   std::uint64_t token = 0;     // kResult / kChallenge destination
   crypto::Nonce nonce{};       // kResult
-  crypto::Digest evidence_digest{};
+  crypto::Bytes evidence;      // kResult: the appraised bytes
   bool verdict = false;
   ChallengeFrame challenge;    // kChallenge
 };
@@ -211,8 +211,8 @@ void AppraiserServer::on_appraised(const pipeline::EvidenceItem& item,
   Inbound out;
   out.kind = Inbound::Kind::kResult;
   out.nonce = item.nonce;
-  out.verdict = rec.decoded && rec.sig_ok;
-  if (rec.decoded) out.evidence_digest = rec.content_digest;
+  out.evidence = item.evidence;
+  out.verdict = rec.sig_ok;  // copland::appraise's verdict
 
   // A round born from a relayed challenge goes back to the relying
   // party; everything else answers the originating switch session.
@@ -344,14 +344,9 @@ void AppraiserServer::drain_inbox(Reactor& r) {
       case Inbound::Kind::kResult: {
         const auto it = r.conns.find(item.token);
         if (it == r.conns.end()) break;  // session left before its verdict
-        ra::Certificate cert;
-        cert.appraiser = config_.appraiser_name;
-        cert.nonce = item.nonce;
-        cert.evidence_digest = item.evidence_digest;
-        cert.verdict = item.verdict;
-        cert.issued_at = wall_ns();
-        cert.sig = r.cert_signer->sign(cert.signing_payload());
-        it->second->session.queue_result(cert);
+        it->second->session.queue_result(ra::Certificate::issue(
+            config_.appraiser_name, item.nonce, item.evidence, item.verdict,
+            wall_ns(), *r.cert_signer));
         results_sent_.fetch_add(1, std::memory_order_relaxed);
         PERA_OBS_COUNT("net.server.results");
         after_progress(r, *it->second);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "copland/evidence.h"
+#include "copland/testbed.h"
 #include "crypto/hmac.h"
 #include "obs/obs.h"
 #include "pipeline/pipeline.h"
@@ -32,7 +32,7 @@ VerifierSet::VerifierSet(const crypto::Digest& root_key,
   }
 }
 
-const crypto::Verifier* VerifierSet::by_key_id(
+const crypto::Verifier* VerifierSet::verifier_by_key_id(
     const crypto::Digest& id) const {
   const auto it = by_key_id_.find(id);
   return it == by_key_id_.end() ? nullptr : verifiers_[it->second].get();
@@ -40,23 +40,10 @@ const crypto::Verifier* VerifierSet::by_key_id(
 
 AppraisedRecord appraise_record(const EvidenceItem& item,
                                 const VerifierSet& verifiers) {
-  AppraisedRecord rec{item.seq, item.shard};
-  try {
-    const copland::EvidencePtr ev = copland::decode(
-        crypto::BytesView{item.evidence.data(), item.evidence.size()});
-    rec.decoded = true;
-    if (ev->kind == copland::EvidenceKind::kSignature && ev->child != nullptr) {
-      rec.content_digest = copland::digest(ev->child);
-      if (const crypto::Verifier* v = verifiers.by_key_id(ev->sig.key_id)) {
-        rec.sig_ok = crypto::verify_any(*v, rec.content_digest, ev->sig);
-      }
-    } else {
-      rec.content_digest = copland::digest(ev);
-      rec.sig_ok = true;  // unsigned evidence: content-only appraisal
-    }
-  } catch (const std::exception&) {
-    return rec;  // decoded=false: counted as a failure by the fold
-  }
+  const copland::AppraisalResult res =
+      copland::appraise(item.evidence, nullptr, verifiers, item.nonce);
+  const AppraisedRecord rec{item.seq, item.shard, res.evidence != nullptr,
+                            res.ok, res.content_digest};
   PERA_OBS_COUNT(rec.sig_ok ? "pipeline.appraise.sig_ok"
                             : "pipeline.appraise.sig_fail");
   return rec;
@@ -70,7 +57,7 @@ FlowFold::FlowFold(nac::CompositionMode mode) : mode_(mode) {
 
 void FlowFold::add(const AppraisedRecord& rec) {
   ++records_;
-  if (!rec.decoded || !rec.sig_ok) {
+  if (!rec.sig_ok) {
     ok_ = false;
     ++failures_;
   }

@@ -1,7 +1,7 @@
 // Appraiser-side reassembly of shard-interleaved evidence streams.
 //
-// Appraisal verifies each record's signature against the per-shard device
-// keys (derived from the same root the pipeline used) and folds it into
+// Appraisal runs each record through copland::appraise (per-shard device
+// keys derived from the pipeline's root; the item's nonce) and folds it into
 // its flow's running transcript (FlowFold: O(1) state per flow, no
 // buffered records) under the policy's composition mode (§5.2, Fig. 4):
 //   chained    H("pera.pipeline.chained"   ‖ d₁ ‖ … ‖ dₙ ‖ ok)
@@ -44,7 +44,7 @@ struct FlowVerdict {
 /// key: one per derived device key, resolved by key id. Supports the
 /// symmetric HmacSigner scheme and the hash-based XmssSigner scheme
 /// (whose WOTS chain walk rides the multi-lane SHA-256 engine).
-class VerifierSet {
+class VerifierSet final : public crypto::VerifierLookup {
  public:
   VerifierSet(const crypto::Digest& root_key, std::string_view label,
               std::size_t max_shards,
@@ -53,8 +53,8 @@ class VerifierSet {
               unsigned xmss_height = 8);
 
   /// nullptr when no provisioned key matches.
-  [[nodiscard]] const crypto::Verifier* by_key_id(
-      const crypto::Digest& id) const;
+  [[nodiscard]] const crypto::Verifier* verifier_by_key_id(
+      const crypto::Digest& id) const override;
 
   [[nodiscard]] std::size_t size() const { return verifiers_.size(); }
 
@@ -63,10 +63,10 @@ class VerifierSet {
   std::map<crypto::Digest, std::size_t> by_key_id_;
 };
 
-/// One evidence record after signature verification, ready for the
-/// per-flow fold. `content_digest` is copland::digest() of the evidence
-/// under the signature node (or of the whole term for unsigned records);
-/// meaningful only when `decoded`.
+/// One evidence record after appraisal, ready for the per-flow fold.
+/// `sig_ok` is copland::appraise's verdict (implies `decoded`);
+/// `content_digest` is copland::digest() of the signed content (or of the
+/// whole unsigned term), meaningful only when `decoded`.
 struct AppraisedRecord {
   std::uint64_t seq = 0;
   std::uint32_t shard = 0;
@@ -75,8 +75,9 @@ struct AppraisedRecord {
   crypto::Digest content_digest{};
 };
 
-/// Decode + verify one evidence item (the parallelizable per-record
-/// work). Counts pipeline.appraise.sig_ok/.sig_fail.
+/// Appraise one evidence item through copland::appraise, without goldens
+/// (the parallelizable per-record work). Counts
+/// pipeline.appraise.sig_ok/.sig_fail.
 [[nodiscard]] AppraisedRecord appraise_record(const EvidenceItem& item,
                                               const VerifierSet& verifiers);
 

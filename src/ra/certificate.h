@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "crypto/nonce.h"
 #include "crypto/signer.h"
@@ -18,6 +19,18 @@ struct Certificate {
   bool verdict = false;
   std::int64_t issued_at = 0;     // SimTime
   crypto::Signature sig;
+
+  /// The one issuer: signs `verdict` on the appraised `evidence` bytes for
+  /// `nonce`; evidence_digest is their SHA-256 (= copland::digest).
+  [[nodiscard]] static Certificate issue(
+      std::string appraiser, const crypto::Nonce& nonce,
+      crypto::BytesView evidence, bool verdict, std::int64_t issued_at,
+      crypto::Signer& signer) {
+    Certificate cert{std::move(appraiser), nonce, crypto::sha256(evidence),
+                     verdict, issued_at, {}};
+    cert.sig = signer.sign(cert.signing_payload());
+    return cert;
+  }
 
   /// The digest the appraiser signs.
   [[nodiscard]] crypto::Digest signing_payload() const;

@@ -74,29 +74,29 @@ bool Appraiser::accept_endorsement(const Endorsement& endorsement,
 }
 
 AttestationResult Appraiser::appraise(
-    const EvidencePtr& evidence,
+    crypto::BytesView evidence,
     const std::optional<crypto::Nonce>& expected_nonce, bool certify,
     std::int64_t now, bool enforce_freshness) {
   ++appraisal_count_;
   obs::ScopedSpan span(obs::SpanKind::kAppraise, name_);
+  const crypto::Nonce nonce = expected_nonce.value_or(crypto::Nonce{});
   AttestationResult result;
-  result.detail =
-      copland::appraise(evidence, goldens_, *keys_, expected_nonce);
+  result.detail = copland::appraise(evidence, &goldens_, *keys_, nonce);
 
   // Nonce replay detection: the same nonce may only be appraised once.
-  if (enforce_freshness && expected_nonce && result.detail.ok) {
-    if (!nonces_.observe(*expected_nonce)) {
+  if (enforce_freshness && !nonce.value.is_zero() && result.detail.ok) {
+    if (!nonces_.observe(nonce)) {
       ++replays_rejected_;
       PERA_OBS_COUNT("ra.appraise.replay");
       result.detail.add({copland::AppraisalFinding::Kind::kStaleNonce, name_,
-                         "nonce " + expected_nonce->value.short_hex() +
+                         "nonce " + nonce.value.short_hex() +
                              " already appraised"});
     }
   }
 
   // Declarative coverage policy: required targets / vetted versions.
-  if (policy_) {
-    const PolicyVerdict pv = policy_->evaluate(evidence);
+  if (policy_ && result.detail.evidence) {
+    const PolicyVerdict pv = policy_->evaluate(result.detail.evidence);
     if (!pv.ok) {
       for (const auto& f : pv.findings) {
         result.detail.add({copland::AppraisalFinding::Kind::kBadMeasurement,
@@ -111,13 +111,8 @@ AttestationResult Appraiser::appraise(
   if (certify) {
     crypto::Signer* signer = keys_->signer_for(name_);
     if (signer != nullptr) {
-      Certificate cert;
-      cert.appraiser = name_;
-      if (expected_nonce) cert.nonce = *expected_nonce;
-      cert.evidence_digest = copland::digest(evidence);
-      cert.verdict = result.ok;
-      cert.issued_at = now;
-      cert.sig = signer->sign(cert.signing_payload());
+      Certificate cert =
+          Certificate::issue(name_, nonce, evidence, result.ok, now, *signer);
       cert_store_[cert.nonce.value] = cert;
       result.certificate = std::move(cert);
       PERA_OBS_COUNT("ra.certificates.issued");

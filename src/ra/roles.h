@@ -106,18 +106,28 @@ class Appraiser {
     return policy_;
   }
 
-  /// Appraise evidence. When `expected_nonce` is set, the evidence must
-  /// contain that nonce; with `enforce_freshness`, replays of the nonce
+  /// Appraise evidence, given as its canonical encoding (bytes that do
+  /// not decode fail). When `expected_nonce` is set and nonzero, the
+  /// evidence must contain it; with `enforce_freshness`, replays of it
   /// are also rejected (disable for per-flow evidence where one nonce
   /// deliberately covers many packets — that is what enables caching).
   /// When `certify` is true and the appraiser's place has a signer, a
   /// Certificate is issued and stored under the nonce (expressions
   /// (3)/(4) "certify -> store").
   [[nodiscard]] AttestationResult appraise(
-      const EvidencePtr& evidence,
+      crypto::BytesView evidence,
       const std::optional<crypto::Nonce>& expected_nonce = std::nullopt,
       bool certify = true, std::int64_t now = 0,
       bool enforce_freshness = true);
+  /// The same for an evidence tree, appraised as its encoding.
+  [[nodiscard]] AttestationResult appraise(
+      const EvidencePtr& evidence,
+      const std::optional<crypto::Nonce>& expected_nonce = std::nullopt,
+      bool certify = true, std::int64_t now = 0,
+      bool enforce_freshness = true) {
+    return appraise(copland::encode(evidence), expected_nonce, certify, now,
+                    enforce_freshness);
+  }
 
   /// Retrieve a stored certificate by nonce (expression (3) RP2 path).
   [[nodiscard]] std::optional<Certificate> retrieve(

@@ -132,7 +132,7 @@ TEST(RepairAttack, DefeatsParallelComposition) {
   const EvidencePtr e = ev.eval(req, Evidence::empty());
   // The adversary ran C2 first (corrupt bmon lies about exts), repaired
   // bmon, then let av measure it: all measurements appraise clean.
-  const AppraisalResult res = appraise(e, bed.platform.goldens(), bed.keys);
+  const AppraisalResult res = appraise(e, &bed.platform.goldens(), bed.keys);
   EXPECT_TRUE(res.ok) << "repair attack should evade expression (1)";
   EXPECT_GE(adv.repairs_performed(), 1u);
 }
@@ -146,7 +146,7 @@ TEST(RepairAttack, DetectedBySequentialComposition) {
   // Sequencing forces av's measurement of bmon before bmon's use. The
   // adversary's only evasion is to repair bmon first — after which the
   // honest bmon truthfully reports the malicious exts.
-  const AppraisalResult res = appraise(e, bed.platform.goldens(), bed.keys);
+  const AppraisalResult res = appraise(e, &bed.platform.goldens(), bed.keys);
   EXPECT_FALSE(res.ok) << "expression (2) must detect the compromise";
   bool exts_flagged = false;
   for (const auto& f : res.findings) {
@@ -160,7 +160,7 @@ TEST(RepairAttack, NoAdversaryMeansDetectionEitherWay) {
   Evaluator ev(bed.platform);  // no adversary scheduling
   for (const char* src : {kExpr1, kExpr2}) {
     const EvidencePtr e = ev.eval(parse_request(src), Evidence::empty());
-    EXPECT_FALSE(appraise(e, bed.platform.goldens(), bed.keys).ok) << src;
+    EXPECT_FALSE(appraise(e, &bed.platform.goldens(), bed.keys).ok) << src;
   }
 }
 
@@ -179,7 +179,7 @@ TEST(RepairAttack, AnalysisPredictsAttackOutcome) {
     adversary::SlowAdversary adv(bed.platform, "us", "bmon");
     Evaluator ev(bed.platform, &adv);
     const EvidencePtr e = ev.eval(req, Evidence::empty());
-    const bool evaded = appraise(e, bed.platform.goldens(), bed.keys).ok;
+    const bool evaded = appraise(e, &bed.platform.goldens(), bed.keys).ok;
     EXPECT_EQ(evaded, vulnerable) << src;
   }
 }

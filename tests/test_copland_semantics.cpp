@@ -274,7 +274,7 @@ TEST(EvidenceCodec, ExtendFoldsEmpty) {
 TEST_F(Fixture, AppraisalOkForCleanEvidence) {
   const EvidencePtr e = evaluator.eval(
       parse_term("@us [attest(bmon, exts) -> !]"), "bank", Evidence::empty());
-  const AppraisalResult res = appraise(e, platform.goldens(), keys);
+  const AppraisalResult res = appraise(e, &platform.goldens(), keys);
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.measurements_checked, 2u);
   EXPECT_EQ(res.signatures_checked, 1u);
@@ -284,7 +284,7 @@ TEST_F(Fixture, AppraisalFlagsBadMeasurement) {
   platform.corrupt("us", "bmon", "trojaned");
   const EvidencePtr e = evaluator.eval(parse_term("@us [attest(bmon)]"),
                                        "bank", Evidence::empty());
-  const AppraisalResult res = appraise(e, platform.goldens(), keys);
+  const AppraisalResult res = appraise(e, &platform.goldens(), keys);
   ASSERT_FALSE(res.ok);
   ASSERT_EQ(res.findings.size(), 1u);
   EXPECT_EQ(res.findings[0].kind, AppraisalFinding::Kind::kBadMeasurement);
@@ -293,7 +293,7 @@ TEST_F(Fixture, AppraisalFlagsBadMeasurement) {
 TEST_F(Fixture, AppraisalFlagsUnknownComponent) {
   const EvidencePtr e = evaluator.eval(parse_term("@us [attest(ghost)]"),
                                        "bank", Evidence::empty());
-  const AppraisalResult res = appraise(e, platform.goldens(), keys);
+  const AppraisalResult res = appraise(e, &platform.goldens(), keys);
   ASSERT_FALSE(res.ok);
   EXPECT_EQ(res.findings[0].kind, AppraisalFinding::Kind::kUnknownComponent);
 }
@@ -309,7 +309,7 @@ TEST_F(Fixture, AppraisalFlagsUnknownSigner) {
   Evaluator ev2(rogue);
   const EvidencePtr e = ev2.eval(parse_term("@us [attest(bmon) -> !]"),
                                  "bank", Evidence::empty());
-  const AppraisalResult res = appraise(e, platform.goldens(), keys);
+  const AppraisalResult res = appraise(e, &platform.goldens(), keys);
   ASSERT_FALSE(res.ok);
   EXPECT_EQ(res.findings[0].kind, AppraisalFinding::Kind::kUnknownSigner);
 }
@@ -319,7 +319,7 @@ TEST_F(Fixture, AppraisalFlagsMissingNonce) {
                                        "bank", Evidence::empty());
   const crypto::Nonce expected{crypto::sha256("expected")};
   const AppraisalResult res =
-      appraise(e, platform.goldens(), keys, expected);
+      appraise(e, &platform.goldens(), keys, expected);
   ASSERT_FALSE(res.ok);
   EXPECT_EQ(res.findings[0].kind, AppraisalFinding::Kind::kMissingNonce);
 }
@@ -328,7 +328,57 @@ TEST_F(Fixture, AppraisalAcceptsPresentNonce) {
   const crypto::Nonce n{crypto::sha256("fresh")};
   const EvidencePtr e = evaluator.eval(parse_term("@us [attest(bmon)]"),
                                        "bank", Evidence::nonce_ev(n));
-  EXPECT_TRUE(appraise(e, platform.goldens(), keys, n).ok);
+  EXPECT_TRUE(appraise(e, &platform.goldens(), keys, n).ok);
+}
+
+TEST_F(Fixture, AppraisalOfBytesMatchesTheTree) {
+  const crypto::Nonce n{crypto::sha256("bytes")};
+  const EvidencePtr e = evaluator.eval(parse_term("@us [attest(bmon) -> !]"),
+                                       "bank", Evidence::nonce_ev(n));
+  const crypto::Bytes enc = encode(e);
+  const crypto::BytesView bytes{enc};
+  const AppraisalResult tree = appraise(e, &platform.goldens(), keys, n);
+  const AppraisalResult wire = appraise(bytes, &platform.goldens(), keys, n);
+  EXPECT_TRUE(tree.ok);
+  EXPECT_TRUE(wire.ok);
+  EXPECT_EQ(wire.signatures_checked, tree.signatures_checked);
+  EXPECT_EQ(wire.measurements_checked, tree.measurements_checked);
+  ASSERT_EQ(e->kind, EvidenceKind::kSignature);
+  EXPECT_EQ(tree.content_digest, digest(e->child));
+  EXPECT_EQ(wire.content_digest, tree.content_digest);
+  ASSERT_NE(wire.evidence, nullptr);
+  EXPECT_TRUE(equal(wire.evidence, e));
+
+  // A round nonce the evidence does not carry fails both.
+  const crypto::Nonce other{crypto::sha256("other round")};
+  EXPECT_FALSE(appraise(e, &platform.goldens(), keys, other).ok);
+  const AppraisalResult stale =
+      appraise(bytes, &platform.goldens(), keys, other);
+  ASSERT_FALSE(stale.ok);
+  EXPECT_EQ(stale.findings.back().kind, AppraisalFinding::Kind::kMissingNonce);
+}
+
+TEST_F(Fixture, AppraisalOfUndecodableBytesFailsWithoutThrowing) {
+  const crypto::Bytes garbage{0xDE, 0xAD, 0xBE, 0xEF};
+  AppraisalResult res;
+  EXPECT_NO_THROW(res = appraise(crypto::BytesView{garbage},
+                                 &platform.goldens(), keys));
+  EXPECT_FALSE(res.ok);
+  ASSERT_EQ(res.findings.size(), 1u);
+  EXPECT_EQ(res.findings[0].kind, AppraisalFinding::Kind::kMalformed);
+  EXPECT_EQ(res.evidence, nullptr);
+  EXPECT_TRUE(res.content_digest.is_zero());
+}
+
+TEST_F(Fixture, AppraisalWithoutGoldensChecksOnlySignaturesAndNonce) {
+  platform.corrupt("us", "bmon", "tampered bmon");
+  const EvidencePtr e = evaluator.eval(parse_term("@us [attest(bmon) -> !]"),
+                                       "bank", Evidence::empty());
+  EXPECT_FALSE(appraise(e, &platform.goldens(), keys).ok);
+  const AppraisalResult res = appraise(e, nullptr, keys);
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.measurements_checked, 0u);
+  EXPECT_EQ(res.signatures_checked, 1u);
 }
 
 TEST_F(Fixture, TamperedSignatureDetected) {
@@ -340,7 +390,7 @@ TEST_F(Fixture, TamperedSignatureDetected) {
       Evidence::measurement("us", "us", "bmon", crypto::sha256("lie"),
                             "forged"),
       e->sig);
-  const AppraisalResult res = appraise(forged, platform.goldens(), keys);
+  const AppraisalResult res = appraise(forged, &platform.goldens(), keys);
   ASSERT_FALSE(res.ok);
   bool saw_bad_sig = false;
   for (const auto& f : res.findings) {

@@ -4,8 +4,9 @@
 // mutual counter-quotes) on the sans-I/O state machines, and loopback
 // end-to-end runs against the epoll appraiser server — single client,
 // concurrent fleet, challenge relay through a relying-party session, and
-// the Sim-vs-Socket verdict identity check (the same evidence bytes get
-// the same verdict from the in-process appraiser and over the wire).
+// the verdict parity matrix (the same evidence bytes get the expected
+// verdict and certificate from the pipeline's appraiser, netsim's
+// appraiser node and the socket server).
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -17,16 +18,21 @@
 #include <thread>
 #include <vector>
 
+#include "copland/evidence.h"
+#include "core/nodes.h"
+#include "core/wire.h"
 #include "crypto/keystore.h"
 #include "crypto/sha256.h"
 #include "ctrl/transport.h"
 #include "nac/detail.h"
+#include "nac/header.h"
 #include "net/backend.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/session.h"
 #include "net/wire.h"
+#include "netsim/network.h"
 #include "pipeline/appraiser.h"
 #include "pipeline/pipeline.h"
 
@@ -732,69 +738,140 @@ TEST(NetRelay, TransportRoundOverSocketBackendCompletes) {
 
 // ------------------------------------------- Sim-vs-Socket verdict parity --
 
-// The same evidence bytes must get the same verdict from the in-process
-// ParallelAppraiser (the sim/pipeline path) and from a socket round trip
-// through the server (which routes through that same appraiser).
-TEST(NetParity, SimAndSocketAgreeOnEveryPayload) {
-  E2eKeys keys;
-  const std::vector<crypto::Digest> dev = keys.device_keys();
-  crypto::HmacSigner good_signer(dev[0]);
+// One appraisal core on every path: the same evidence bytes, sent under
+// the same round nonce, get the expected verdict from the in-process
+// ParallelAppraiser (the pipeline path), from netsim's AppraiserNode and
+// from a socket round trip through the server.
+struct ParityCase {
+  const char* name;
+  crypto::Bytes evidence;
+  crypto::Nonce round_nonce;
+  bool expected;
+};
+
+std::vector<ParityCase> parity_cases(const E2eKeys& keys) {
+  crypto::HmacSigner good_signer(keys.device_keys()[0]);
   crypto::HmacSigner rogue_signer(d("rogue"));
+  std::vector<ParityCase> cases;
+  cases.push_back({"valid",
+                   net::make_signed_evidence("sw0", keys.golden,
+                                             nonce_of(200), good_signer),
+                   nonce_of(200), true});
+  cases.push_back({"wrong-signer",
+                   net::make_signed_evidence("sw0", keys.golden,
+                                             nonce_of(201), rogue_signer),
+                   nonce_of(201), false});
+  cases.push_back({"garbage", crypto::Bytes{0xDE, 0xAD, 0xBE, 0xEF},
+                   nonce_of(202), false});
+  // Signed by the right key, but over another round's nonce: a replay.
+  cases.push_back({"wrong-nonce",
+                   net::make_signed_evidence("sw0", keys.golden,
+                                             nonce_of(190), good_signer),
+                   nonce_of(203), false});
+  return cases;
+}
 
-  struct Case {
-    const char* name;
-    crypto::Bytes evidence;
+// Pipeline path: each payload streamed through a ParallelAppraiser exactly
+// as the pipeline hands evidence over.
+std::vector<bool> pipeline_verdicts(const E2eKeys& keys,
+                                    const std::vector<ParityCase>& cases) {
+  std::vector<bool> verdicts(cases.size(), false);
+  pipeline::AppraiserOptions opts;
+  opts.workers = 1;
+  std::mutex mu;
+  opts.record_hook = [&](const pipeline::EvidenceItem& item,
+                         pipeline::AppraisedRecord&& rec) {
+    const std::lock_guard<std::mutex> lock(mu);
+    verdicts[item.flow] = rec.decoded && rec.sig_ok;
   };
-  std::vector<Case> cases;
-  cases.push_back({"valid", net::make_signed_evidence("sw0", keys.golden,
-                                                      nonce_of(200),
-                                                      good_signer)});
-  cases.push_back({"bad-signer", net::make_signed_evidence(
-                                     "sw0", keys.golden, nonce_of(201),
-                                     rogue_signer)});
-  cases.push_back({"garbage", crypto::Bytes{0xDE, 0xAD, 0xBE, 0xEF}});
-
-  // Sim-side appraisal: stream each payload through a ParallelAppraiser
-  // exactly as the pipeline does.
-  std::vector<bool> sim_verdicts(cases.size(), false);
-  {
-    pipeline::AppraiserOptions opts;
-    opts.workers = 1;
-    std::mutex mu;
-    opts.record_hook = [&](const pipeline::EvidenceItem& item,
-                           pipeline::AppraisedRecord&& rec) {
-      const std::lock_guard<std::mutex> lock(mu);
-      sim_verdicts[item.flow] = rec.decoded && rec.sig_ok;
-    };
-    pipeline::ParallelAppraiser app(keys.evidence_root, "pera.net.device", 16,
-                                    opts);
-    app.start(1);
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      pipeline::EvidenceItem item;
-      item.flow = i;
-      item.seq = i;
-      item.evidence = cases[i].evidence;
-      item.nonce = nonce_of(210 + i);
-      ASSERT_TRUE(app.accept(0, std::move(item)));
-    }
-    app.finish();
+  pipeline::ParallelAppraiser app(keys.evidence_root, "pera.net.device", 16,
+                                  opts);
+  app.start(1);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    pipeline::EvidenceItem item;
+    item.flow = i;
+    item.seq = i;
+    item.evidence = cases[i].evidence;
+    item.nonce = cases[i].round_nonce;
+    EXPECT_TRUE(app.accept(0, std::move(item)));
   }
-  EXPECT_TRUE(sim_verdicts[0]);
-  EXPECT_FALSE(sim_verdicts[1]);
-  EXPECT_FALSE(sim_verdicts[2]);
+  app.finish();
+  return verdicts;
+}
 
-  // Socket side: send the same bytes as raw evidence rounds on one
-  // admitted session and collect per-nonce verdicts.
+// A relying party linked to a netsim AppraiserNode that holds the device
+// key, its certificate key and the golden program measurement.
+struct NetsimRig {
+  explicit NetsimRig(const E2eKeys& keys)
+      : net(topology()), store(0xE2E'0301), appraiser("appraiser", store),
+        host("rp") {
+    store.provision_hmac_key("sw0", keys.device_keys()[0]);
+    store.provision_hmac_key("appraiser", keys.cert_key);
+    appraiser.appraiser().set_golden("sw0", "Program", keys.golden);
+    net.attach("rp", &host);
+    net.attach("appraiser", &appraiser);
+  }
+
+  static netsim::Topology topology() {
+    netsim::Topology topo;
+    topo.add_node("rp", netsim::NodeKind::kHost);
+    topo.add_node("appraiser", netsim::NodeKind::kAppraiser);
+    topo.add_link("rp", "appraiser");
+    return topo;
+  }
+
+  // One message from the relying party to the appraiser; replies return
+  // to the relying party.
+  void send(const std::string& type, crypto::Bytes payload) {
+    netsim::Message msg;
+    msg.src = net.topology().require("rp");
+    msg.dst = net.topology().require("appraiser");
+    msg.reply_to = msg.src;
+    msg.type = type;
+    msg.payload = std::move(payload);
+    net.send(std::move(msg));
+  }
+
+  netsim::Network net;
+  crypto::KeyStore store;
+  core::AppraiserNode appraiser;
+  core::HostNode host;
+};
+
+// Netsim path: each payload goes to the AppraiserNode as a one-shot
+// "evidence" message; certificates come back in case order.
+std::vector<ra::Certificate> netsim_certificates(
+    const E2eKeys& keys, const std::vector<ParityCase>& cases) {
+  NetsimRig rig(keys);
+  for (const ParityCase& c : cases) {
+    rig.send("evidence",
+             core::EvidenceMsg{c.round_nonce, c.evidence}.serialize());
+  }
+  rig.net.run();
+  std::vector<ra::Certificate> certs(cases.size());
+  for (const ra::Certificate& cert : rig.host.results()) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      if (cert.nonce == cases[i].round_nonce) certs[i] = cert;
+    }
+  }
+  EXPECT_EQ(rig.host.results().size(), cases.size());
+  return certs;
+}
+
+// Socket path: the same bytes as raw evidence rounds on one admitted
+// session, certificates collected per round nonce, in case order.
+std::vector<ra::Certificate> socket_certificates(
+    const E2eKeys& keys, const std::vector<ParityCase>& cases) {
   net::AppraiserServer server(keys.server_config());
   server.start();
   net::SwitchClient client(keys.identity("sw0", 0xE2E'0201));
-  ASSERT_TRUE(client.connect(server.port(), 2000)) << client.error_text();
+  std::vector<ra::Certificate> certs(cases.size());
+  EXPECT_TRUE(client.connect(server.port(), 2000)) << client.error_text();
   net::ClientSession* session = client.session();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    session->send_evidence(nonce_of(220 + i), view(cases[i].evidence));
+  if (session == nullptr || !client.established()) return certs;
+  for (const ParityCase& c : cases) {
+    session->send_evidence(c.round_nonce, view(c.evidence));
   }
-  // Pump via serve() until all results arrive.
-  std::vector<bool> socket_verdicts(cases.size(), false);
   std::size_t got = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -803,21 +880,76 @@ TEST(NetParity, SimAndSocketAgreeOnEveryPayload) {
     (void)client.serve(50, nullptr);
     for (const ra::Certificate& cert : session->take_results()) {
       for (std::size_t i = 0; i < cases.size(); ++i) {
-        if (cert.nonce.value == nonce_of(220 + i).value) {
-          socket_verdicts[i] = cert.verdict;
+        if (cert.nonce == cases[i].round_nonce) {
+          certs[i] = cert;
           ++got;
         }
       }
     }
   }
-  ASSERT_EQ(got, cases.size()) << "socket rounds did not all complete";
+  EXPECT_EQ(got, cases.size()) << "socket rounds did not all complete";
   client.close();
   server.stop();
+  return certs;
+}
 
+TEST(NetParity, SimAndSocketAgreeOnEveryPayload) {
+  const E2eKeys keys;
+  const std::vector<ParityCase> cases = parity_cases(keys);
+  const std::vector<bool> pipeline = pipeline_verdicts(keys, cases);
+  const std::vector<ra::Certificate> netsim = netsim_certificates(keys, cases);
+  const std::vector<ra::Certificate> socket = socket_certificates(keys, cases);
+  const crypto::HmacVerifier cert_key(keys.cert_key);
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    EXPECT_EQ(socket_verdicts[i], sim_verdicts[i])
-        << "verdict diverged for payload: " << cases[i].name;
+    SCOPED_TRACE(cases[i].name);
+    EXPECT_EQ(pipeline[i], cases[i].expected) << "pipeline";
+    EXPECT_EQ(netsim[i].verdict, cases[i].expected) << "netsim";
+    EXPECT_EQ(socket[i].verdict, cases[i].expected) << "socket";
+    EXPECT_TRUE(netsim[i].verify(cert_key)) << "netsim";
+    EXPECT_TRUE(socket[i].verify(cert_key)) << "socket";
   }
+}
+
+// Every certificate names the evidence it judged the same way:
+// copland::digest of the appraised evidence, the value verify_aggregate
+// checks carried evidence against.
+TEST(NetParity, CertificateDigestIsEvidenceDigestOnEveryPath) {
+  const E2eKeys keys;
+  const std::vector<ParityCase> cases = parity_cases(keys);
+  const std::vector<ra::Certificate> netsim = netsim_certificates(keys, cases);
+  const std::vector<ra::Certificate> socket = socket_certificates(keys, cases);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    const crypto::Digest want = crypto::sha256(view(cases[i].evidence));
+    EXPECT_EQ(netsim[i].evidence_digest, want);
+    EXPECT_EQ(socket[i].evidence_digest, want);
+    if (cases[i].name == std::string("garbage")) continue;
+    EXPECT_EQ(want, copland::digest(copland::decode(view(cases[i].evidence))));
+  }
+}
+
+// Evidence that does not decode gets a failing certificate from the
+// netsim appraiser, one-shot or carried in-band, instead of an exception
+// out of Network::run().
+TEST(NetParity, NetsimAppraiserFailsMalformedEvidence) {
+  const E2eKeys keys;
+  NetsimRig rig(keys);
+  const crypto::Bytes garbage{0xDE, 0xAD, 0xBE, 0xEF};
+  crypto::HmacSigner good_signer(keys.device_keys()[0]);
+  nac::EvidenceCarrier carrier;
+  carrier.add("sw0", net::make_signed_evidence("sw0", keys.golden,
+                                               nonce_of(401), good_signer));
+  carrier.add("sw1", garbage);
+  rig.send("evidence", core::EvidenceMsg{nonce_of(400), garbage}.serialize());
+  rig.send("carrier",
+           core::EvidenceMsg{nonce_of(401), carrier.serialize()}.serialize());
+  EXPECT_NO_THROW(rig.net.run());
+  ASSERT_EQ(rig.host.results().size(), 2u);
+  for (const ra::Certificate& cert : rig.host.results()) {
+    EXPECT_FALSE(cert.verdict);
+    EXPECT_TRUE(cert.verify(crypto::HmacVerifier(keys.cert_key)));
+  }
+  EXPECT_EQ(rig.appraiser.failed_appraisals(), 2u);
 }
 
 }  // namespace

@@ -677,6 +677,40 @@ TEST(PipelineTranscript, UndecodableRecordCountsAndClearsOk) {
   EXPECT_NE(v.transcript, clean.verdicts.begin()->second.transcript);
 }
 
+TEST(PipelineTranscript, RecordBoundToAnotherNonceFails) {
+  const std::vector<dataplane::RawPacket> stream = make_stream(4, 1);
+  const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
+  const RunResult clean = run_pipeline(1, stream, hdr);
+  ASSERT_EQ(clean.evidence.size(), 4u);
+  ASSERT_TRUE(clean.verdicts.begin()->second.ok);
+
+  const std::string label = PipelineOptions{}.shard_key_label;
+  const VerifierSet verifiers(root_key(), label, 8);
+  const AppraisedRecord good = appraise_record(clean.evidence[0], verifiers);
+  EXPECT_TRUE(good.decoded && good.sig_ok);
+
+  // The same signed bytes presented under another round's nonce.
+  std::vector<EvidenceItem> replayed = clean.evidence;
+  replayed[1].nonce = crypto::Nonce{crypto::sha256("another round")};
+  const AppraisedRecord rec = appraise_record(replayed[1], verifiers);
+  EXPECT_TRUE(rec.decoded);
+  EXPECT_FALSE(rec.decoded && rec.sig_ok);
+  EXPECT_EQ(rec.content_digest,
+            appraise_record(clean.evidence[1], verifiers).content_digest);
+
+  // A zero nonce asks for no binding.
+  EvidenceItem unbound = clean.evidence[2];
+  unbound.nonce = crypto::Nonce{};
+  EXPECT_TRUE(appraise_record(unbound, verifiers).sig_ok);
+
+  ShardedAppraiser appraiser(root_key(), label, 8);
+  appraiser.ingest(replayed);
+  const auto verdicts = appraiser.appraise();
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_FALSE(verdicts.begin()->second.ok);
+  EXPECT_EQ(verdicts.begin()->second.signature_failures, 1u);
+}
+
 TEST(PipelineTranscript, PointwiseTranscriptBytesAreStable) {
   // A pinned value: the pointwise transcript bytes are part of the
   // verdict format, so no change to how records are folded may move them.

@@ -146,7 +146,7 @@ TEST_P(RandomTerms, CleanPlatformAlwaysAppraises) {
   for (int i = 0; i < 10; ++i) {
     const TermPtr t = gen.gen();
     const EvidencePtr e = ev.eval(t, "root", Evidence::empty());
-    const AppraisalResult res = appraise(e, bed.platform.goldens(), bed.keys);
+    const AppraisalResult res = appraise(e, &bed.platform.goldens(), bed.keys);
     EXPECT_TRUE(res.ok) << to_string(t) << "\n" << describe(e);
   }
 }

@@ -238,7 +238,7 @@ TEST(Redaction, RedactedEvidenceFailsOriginalGoldens) {
   PseudonymTable table(crypto::sha256("k"));
   const copland::EvidencePtr red = redact(e, "alice", table, RedactionPolicy{});
   const auto res =
-      copland::appraise(red, bed.appraiser.goldens(), bed.keys);
+      copland::appraise(red, &bed.appraiser.goldens(), bed.keys);
   EXPECT_FALSE(res.ok);
 }
 
