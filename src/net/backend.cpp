@@ -5,34 +5,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
 #include <utility>
 
+#include "net/client.h"
 #include "obs/obs.h"
 
 namespace pera::net {
 
-namespace {
-
-std::int64_t wall_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int remaining_ms(std::int64_t deadline_ns) {
-  const std::int64_t left = deadline_ns - wall_ns();
-  if (left <= 0) return 0;
-  return static_cast<int>(left / 1'000'000) + 1;
-}
-
-}  // namespace
-
 SocketBackend::SocketBackend(Config config)
-    : config_(std::move(config)), nonces_(config_.nonce_seed) {
-  read_buf_.resize(64 * 1024);
-}
+    : config_(std::move(config)), nonces_(config_.nonce_seed) {}
 
 SocketBackend::~SocketBackend() { stop(); }
 
@@ -42,13 +24,6 @@ void SocketBackend::set_result_sink(
 }
 
 bool SocketBackend::connect() {
-  const std::int64_t deadline =
-      wall_ns() + std::int64_t(config_.connect_timeout_ms) * 1'000'000;
-  fd_ = connect_loopback_blocking(config_.port, config_.connect_timeout_ms);
-  if (!fd_.valid()) {
-    error_ = "connect failed";
-    return false;
-  }
   wake_fd_ = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
   if (!wake_fd_.valid()) {
     error_ = "eventfd failed";
@@ -60,14 +35,12 @@ bool SocketBackend::connect() {
   sc.role = SessionRole::kRelyingParty;
   sc.want_mutual = config_.mutual;
   if (config_.mutual) {
-    sc.verify_counter_quote = [this](const Quote& q) {
-      const crypto::HmacVerifier v(config_.cert_key);
-      return q.verify(v) && q.measurement == config_.appraiser_golden;
-    };
+    sc.verify_counter_quote =
+        counter_quote_check(config_.cert_key, config_.appraiser_golden);
   }
   session_ = std::make_unique<ClientSession>(std::move(sc), nonces_.issue());
-  session_->start();
-  if (!handshake(deadline)) {
+  if (!connect_session(link_, *session_, config_.port,
+                       config_.connect_timeout_ms, error_)) {
     if (error_.empty()) error_ = session_->error_text();
     return false;
   }
@@ -75,54 +48,6 @@ bool SocketBackend::connect() {
   running_.store(true, std::memory_order_release);
   loop_ = std::thread([this] { run_loop(); });
   PERA_OBS_COUNT("net.backend.connected");
-  return true;
-}
-
-bool SocketBackend::handshake(std::int64_t deadline_ns) {
-  while (!session_->established()) {
-    if (session_->failed()) return false;
-    if (!flush_blocking(deadline_ns)) return false;
-    pollfd p{fd_.get(), POLLIN, 0};
-    const int pr = ::poll(&p, 1, remaining_ms(deadline_ns));
-    if (pr <= 0) {
-      error_ = "handshake timeout";
-      return false;
-    }
-    const IoResult res = read_some(fd_.get(), read_buf_.data(),
-                                   read_buf_.size());
-    if (res.status == IoStatus::kWouldBlock) continue;
-    if (res.status != IoStatus::kOk) {
-      error_ = "connection closed during handshake";
-      return false;
-    }
-    if (!session_->on_bytes(crypto::BytesView{read_buf_.data(), res.bytes})) {
-      return false;
-    }
-  }
-  return flush_blocking(deadline_ns);
-}
-
-bool SocketBackend::flush_blocking(std::int64_t deadline_ns) {
-  crypto::Bytes& out = session_->outbox();
-  std::size_t head = 0;
-  while (head < out.size()) {
-    const IoSlice slice{out.data() + head, out.size() - head};
-    const IoResult res = write_vec(fd_.get(), &slice, 1);
-    if (res.status == IoStatus::kOk) {
-      head += res.bytes;
-      continue;
-    }
-    if (res.status != IoStatus::kWouldBlock) {
-      error_ = "write failed";
-      return false;
-    }
-    pollfd p{fd_.get(), POLLOUT, 0};
-    if (::poll(&p, 1, remaining_ms(deadline_ns)) <= 0) {
-      error_ = "write timeout";
-      return false;
-    }
-  }
-  out.clear();
   return true;
 }
 
@@ -142,23 +67,19 @@ void SocketBackend::wake() {
 }
 
 void SocketBackend::stop() {
-  if (running_.exchange(false)) {
-    wake();
-    if (loop_.joinable()) loop_.join();
-  } else if (loop_.joinable()) {
-    loop_.join();
-  }
-  if (session_ && fd_.valid() && session_->established() && !conn_dead_) {
+  if (running_.exchange(false)) wake();
+  if (loop_.joinable()) loop_.join();
+  if (session_ && link_.valid() && session_->established()) {
     session_->send_bye();
-    (void)flush_blocking(wall_ns() + 100'000'000);
+    (void)flush_session(link_, *session_, deadline_after_ms(100), error_);
   }
   established_.store(false, std::memory_order_release);
-  fd_.reset();
+  link_.close();
 }
 
 void SocketBackend::send_challenge(const std::string& place,
                                    const core::Challenge& ch) {
-  if (conn_dead_ || !session_ || !session_->established()) return;
+  if (!link_.valid() || !session_->established()) return;
   session_->send_challenge(place, ch);
   try_flush();
   PERA_OBS_COUNT("net.backend.challenges_sent");
@@ -167,58 +88,46 @@ void SocketBackend::send_challenge(const std::string& place,
 void SocketBackend::schedule_in(netsim::SimTime delay,
                                 std::function<void()> fn) {
   Timer t;
-  t.at = wall_ns() + std::max<netsim::SimTime>(delay, 0);
+  t.at = now_ns() + std::max<netsim::SimTime>(delay, 0);
   t.seq = next_timer_seq_++;
   t.fn = std::move(fn);
   timers_.push_back(std::move(t));
-  std::push_heap(timers_.begin(), timers_.end(),
-                 [](const Timer& a, const Timer& b) {
-                   return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
-                 });
+  std::push_heap(timers_.begin(), timers_.end(), fires_later);
 }
 
-netsim::SimTime SocketBackend::now() { return wall_ns(); }
+bool SocketBackend::fires_later(const Timer& a, const Timer& b) {
+  return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
+}
+
+netsim::SimTime SocketBackend::now() { return now_ns(); }
 
 void SocketBackend::try_flush() {
-  if (conn_dead_ || !session_) return;
-  crypto::Bytes& out = session_->outbox();
-  std::size_t head = 0;
-  while (head < out.size()) {
-    const IoSlice slice{out.data() + head, out.size() - head};
-    const IoResult res = write_vec(fd_.get(), &slice, 1);
-    if (res.status == IoStatus::kOk) {
-      head += res.bytes;
-      continue;
-    }
-    if (res.status == IoStatus::kWouldBlock) break;  // retry next loop pass
-    conn_dead_ = true;
-    established_.store(false, std::memory_order_release);
-    PERA_OBS_COUNT("net.backend.conn_lost");
-    break;
-  }
-  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(head));
+  if (!link_.valid()) return;
+  link_.queue(session_->outbox());
+  // A socket that would block is retried on the next loop pass.
+  if (link_.flush().status == IoStatus::kError) lose_connection();
+}
+
+void SocketBackend::lose_connection() {
+  link_.close();
+  established_.store(false, std::memory_order_release);
+  PERA_OBS_COUNT("net.backend.conn_lost");
 }
 
 void SocketBackend::run_loop() {
-  const auto timer_cmp = [](const Timer& a, const Timer& b) {
-    return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
-  };
   while (running_.load(std::memory_order_acquire)) {
     // Next timer bounds the poll; cap idle waits so stop() is prompt.
     int timeout_ms = 200;
     if (!timers_.empty()) {
-      const std::int64_t left = timers_.front().at - wall_ns();
-      timeout_ms = left <= 0
-                       ? 0
-                       : std::min<std::int64_t>(left / 1'000'000 + 1, 200);
+      timeout_ms = std::min(remaining_ms(timers_.front().at), timeout_ms);
     }
     pollfd fds[2];
     fds[0] = {wake_fd_.get(), POLLIN, 0};
     nfds_t n = 1;
-    if (!conn_dead_) {
+    if (link_.valid()) {
       short events = POLLIN;
-      if (!session_->outbox().empty()) events |= POLLOUT;
-      fds[1] = {fd_.get(), events, 0};
+      if (link_.pending_bytes() != 0) events |= POLLOUT;
+      fds[1] = {link_.fd(), events, 0};
       n = 2;
     }
     (void)::poll(fds, n, timeout_ms);
@@ -239,34 +148,21 @@ void SocketBackend::run_loop() {
     for (auto& t : tasks) t();
 
     // Due timers (retry/backoff from the transport).
-    const std::int64_t now_ts = wall_ns();
+    const std::int64_t now_ts = now_ns();
     while (!timers_.empty() && timers_.front().at <= now_ts) {
-      std::pop_heap(timers_.begin(), timers_.end(), timer_cmp);
+      std::pop_heap(timers_.begin(), timers_.end(), fires_later);
       Timer t = std::move(timers_.back());
       timers_.pop_back();
       t.fn();
     }
 
-    if (!conn_dead_ && n == 2 &&
+    if (link_.valid() && n == 2 &&
         (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      for (;;) {
-        const IoResult res =
-            read_some(fd_.get(), read_buf_.data(), read_buf_.size());
-        if (res.status == IoStatus::kWouldBlock) break;
-        if (res.status != IoStatus::kOk) {
-          conn_dead_ = true;
-          established_.store(false, std::memory_order_release);
-          PERA_OBS_COUNT("net.backend.conn_lost");
-          break;
-        }
-        if (!session_->on_bytes(
-                crypto::BytesView{read_buf_.data(), res.bytes})) {
-          conn_dead_ = true;
-          established_.store(false, std::memory_order_release);
-          break;
-        }
-        if (res.bytes < read_buf_.size()) break;
-      }
+      const IoResult res =
+          link_.read([this](crypto::BytesView chunk) {
+            return session_->on_bytes(chunk);
+          });
+      if (res.status != IoStatus::kWouldBlock) lose_connection();
       if (sink_) {
         for (ra::Certificate& cert : session_->take_results()) {
           sink_(cert);

@@ -79,23 +79,23 @@ class SocketBackend final : public ctrl::TransportBackend {
     std::uint64_t seq = 0;  // tie-break: FIFO among equal deadlines
     std::function<void()> fn;
   };
+  /// Timer heap order: earliest deadline on top.
+  static bool fires_later(const Timer& a, const Timer& b);
 
-  bool handshake(std::int64_t deadline_ns);
-  bool flush_blocking(std::int64_t deadline_ns);
   void run_loop();
   void try_flush();
+  void lose_connection();
   void wake();
 
   Config config_;
   crypto::NonceRegistry nonces_;
   std::function<void(const ra::Certificate&)> sink_;
-  Fd fd_;
+  Link link_;
   Fd wake_fd_;
   std::unique_ptr<ClientSession> session_;
   std::thread loop_;
   std::atomic<bool> running_{false};
   std::atomic<bool> established_{false};
-  bool conn_dead_ = false;
   std::string error_;
 
   std::mutex post_mu_;
@@ -104,8 +104,6 @@ class SocketBackend final : public ctrl::TransportBackend {
   // Loop-thread-only timer min-heap (by at, then seq).
   std::vector<Timer> timers_;
   std::uint64_t next_timer_seq_ = 0;
-
-  std::vector<std::uint8_t> read_buf_;
 };
 
 }  // namespace pera::net

@@ -1,9 +1,8 @@
 #include "net/client.h"
 
-#include <poll.h>
 #include <sys/epoll.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -11,22 +10,6 @@
 #include "obs/obs.h"
 
 namespace pera::net {
-
-namespace {
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int remaining_ms(std::int64_t deadline_ns) {
-  const std::int64_t left = deadline_ns - now_ns();
-  if (left <= 0) return 0;
-  return static_cast<int>(left / 1'000'000) + 1;
-}
-
-}  // namespace
 
 crypto::Bytes make_signed_evidence(const std::string& place,
                                    const crypto::Digest& measurement,
@@ -38,6 +21,58 @@ crypto::Bytes make_signed_evidence(const std::string& place,
       copland::Evidence::nonce_ev(nonce));
   const crypto::Signature sig = signer.sign(copland::digest(content));
   return copland::encode(copland::Evidence::signature(place, content, sig));
+}
+
+std::function<bool(const Quote&)> counter_quote_check(
+    const crypto::Digest& cert_key, const crypto::Digest& golden) {
+  return [cert_key, golden](const Quote& q) {
+    return q.verify(crypto::HmacVerifier(cert_key)) && q.measurement == golden;
+  };
+}
+
+// --- blocking session drive -----------------------------------------------
+
+bool flush_session(Link& link, ClientSession& session,
+                   std::int64_t deadline_ns, std::string& error) {
+  link.queue(session.outbox());
+  const IoStatus status = link.flush_until(deadline_ns);
+  if (status == IoStatus::kOk) return true;
+  error = status == IoStatus::kWouldBlock ? "write timeout" : "write failed";
+  return false;
+}
+
+bool pump_session(Link& link, ClientSession& session,
+                  std::int64_t deadline_ns, std::string& error) {
+  if (!flush_session(link, session, deadline_ns, error)) return false;
+  if (!link.wait_readable(deadline_ns)) return true;  // caller re-checks
+  const IoResult res = link.read([&session](crypto::BytesView chunk) {
+    return session.on_bytes(chunk);
+  });
+  if (res.status == IoStatus::kWouldBlock) {
+    return flush_session(link, session, deadline_ns, error);
+  }
+  if (res.status != IoStatus::kOk) error = "connection closed";
+  return false;  // kOk: the session refused the bytes and says why
+}
+
+bool connect_session(Link& link, ClientSession& session, std::uint16_t port,
+                     int timeout_ms, std::string& error) {
+  const std::int64_t deadline_ns = deadline_after_ms(timeout_ms);
+  link = Link(connect_loopback_blocking(port, timeout_ms));
+  if (!link.valid()) {
+    error = "connect failed";
+    return false;
+  }
+  session.start();
+  while (!session.established()) {
+    if (session.failed()) return false;
+    if (remaining_ms(deadline_ns) == 0) {
+      error = "handshake timeout";
+      return false;
+    }
+    if (!pump_session(link, session, deadline_ns, error)) return false;
+  }
+  return true;
 }
 
 // --- SwitchClient -----------------------------------------------------------
@@ -60,13 +95,6 @@ const std::string& SwitchClient::error_text() const {
 }
 
 bool SwitchClient::connect(std::uint16_t port, int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
-  fd_ = connect_loopback_blocking(port, timeout_ms);
-  if (!fd_.valid()) {
-    error_ = "connect failed";
-    return false;
-  }
-
   ClientSessionConfig config;
   config.place = identity_.place;
   config.role = SessionRole::kSwitch;
@@ -75,95 +103,44 @@ bool SwitchClient::connect(std::uint16_t port, int timeout_ms) {
     return Quote::make(identity_.place, nonce, identity_.measurement,
                        *quote_signer_);
   };
-  config.verify_counter_quote = [this](const Quote& q) {
-    const crypto::HmacVerifier v(identity_.cert_key);
-    return q.verify(v) && q.measurement == identity_.appraiser_golden;
-  };
+  config.verify_counter_quote =
+      counter_quote_check(identity_.cert_key, identity_.appraiser_golden);
   config.answer_challenge = [this](const core::Challenge& ch) {
     return make_signed_evidence(identity_.place, identity_.measurement,
                                 ch.nonce, *device_signer_);
   };
   session_ = std::make_unique<ClientSession>(std::move(config),
                                              nonces_.issue());
-  session_->start();
-  if (!flush(remaining_ms(deadline))) return false;
-  while (!session_->established()) {
-    if (session_->failed() || remaining_ms(deadline) == 0) return false;
-    if (!pump(remaining_ms(deadline))) return false;
-  }
-  return true;
-}
-
-bool SwitchClient::flush(int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
-  crypto::Bytes& out = session_->outbox();
-  std::size_t head = 0;
-  while (head < out.size()) {
-    const IoSlice slice{out.data() + head, out.size() - head};
-    const IoResult res = write_vec(fd_.get(), &slice, 1);
-    if (res.status == IoStatus::kOk) {
-      head += res.bytes;
-      continue;
-    }
-    if (res.status != IoStatus::kWouldBlock) {
-      error_ = "write failed";
-      return false;
-    }
-    pollfd p{fd_.get(), POLLOUT, 0};
-    const int pr = ::poll(&p, 1, remaining_ms(deadline));
-    if (pr <= 0) {
-      error_ = "write timeout";
-      return false;
-    }
-  }
-  out.clear();
-  return true;
-}
-
-bool SwitchClient::pump(int timeout_ms) {
-  if (!flush(timeout_ms)) return false;
-  pollfd p{fd_.get(), POLLIN, 0};
-  const int pr = ::poll(&p, 1, timeout_ms);
-  if (pr <= 0) return true;  // nothing arrived; caller re-checks deadline
-  std::uint8_t buf[16 * 1024];
-  const IoResult res = read_some(fd_.get(), buf, sizeof(buf));
-  if (res.status == IoStatus::kWouldBlock) return true;
-  if (res.status != IoStatus::kOk) {
-    error_ = "connection closed";
-    return false;
-  }
-  if (!session_->on_bytes(crypto::BytesView{buf, res.bytes})) return false;
-  return flush(timeout_ms);
+  return connect_session(link_, *session_, port, timeout_ms, error_);
 }
 
 std::optional<ra::Certificate> SwitchClient::round(int timeout_ms) {
   if (!established()) return std::nullopt;
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
+  const std::int64_t deadline = deadline_after_ms(timeout_ms);
   const crypto::Nonce nonce = nonces_.issue();
   const crypto::Bytes evidence = make_signed_evidence(
       identity_.place, identity_.measurement, nonce, *device_signer_);
   session_->send_evidence(nonce,
                           crypto::BytesView{evidence.data(), evidence.size()});
-  if (!flush(remaining_ms(deadline))) return std::nullopt;
+  if (!flush_session(link_, *session_, deadline, error_)) return std::nullopt;
   for (;;) {
     for (ra::Certificate& cert : session_->take_results()) {
       if (cert.nonce.value == nonce.value) return cert;
     }
     if (remaining_ms(deadline) == 0) return std::nullopt;
-    if (!pump(remaining_ms(deadline))) return std::nullopt;
+    if (!pump_session(link_, *session_, deadline, error_)) return std::nullopt;
   }
 }
 
 std::size_t SwitchClient::serve(int deadline_ms,
                                 const std::atomic<bool>* stop) {
   if (!established()) return 0;
-  const std::int64_t deadline = now_ns() +
-                                std::int64_t(deadline_ms) * 1'000'000;
+  const std::int64_t deadline = deadline_after_ms(deadline_ms);
   const std::uint64_t before = session_->challenges_answered();
   while (remaining_ms(deadline) > 0) {
     if (stop != nullptr && stop->load(std::memory_order_acquire)) break;
-    const int slice = std::min(remaining_ms(deadline), 50);
-    if (!pump(slice)) break;
+    const std::int64_t slice = std::min(deadline, deadline_after_ms(50));
+    if (!pump_session(link_, *session_, slice, error_)) break;
     // Results stay queued on the session — relayed rounds' certificates go
     // to the relying party, so anything here is the caller's to collect.
   }
@@ -171,28 +148,26 @@ std::size_t SwitchClient::serve(int deadline_ms,
 }
 
 void SwitchClient::close() {
-  if (session_ && fd_.valid() && session_->established()) {
+  if (session_ && link_.valid() && session_->established()) {
     session_->send_bye();
-    (void)flush(100);
+    (void)flush_session(link_, *session_, deadline_after_ms(100), error_);
   }
-  fd_.reset();
+  link_.close();
 }
 
 // --- SwitchFleet ------------------------------------------------------------
 
 struct SwitchFleet::FleetConn {
-  Fd fd;
+  Link link;
   std::size_t idx = 0;
   std::string place;
   std::unique_ptr<crypto::Signer> quote_signer;
   crypto::Signer* device_signer = nullptr;
   std::unique_ptr<ClientSession> session;
-  crypto::Bytes outq;
-  std::size_t out_head = 0;
   std::deque<std::int64_t> inflight;  // send timestamps, FIFO per conn
-  std::uint32_t interest = 0;
   bool connected = false;
-  bool dead = false;
+
+  [[nodiscard]] bool dead() const { return !link.valid(); }
 };
 
 SwitchFleet::SwitchFleet(Config config) : config_(std::move(config)) {
@@ -202,7 +177,6 @@ SwitchFleet::SwitchFleet(Config config) : config_(std::move(config)) {
   for (const crypto::Digest& key : config_.device_keys) {
     signers_.push_back(std::make_unique<crypto::HmacSigner>(key));
   }
-  read_buf_.resize(64 * 1024);
 }
 
 SwitchFleet::~SwitchFleet() { shutdown(); }
@@ -210,79 +184,33 @@ SwitchFleet::~SwitchFleet() { shutdown(); }
 std::size_t SwitchFleet::established_count() const {
   std::size_t n = 0;
   for (const auto& c : conns_) {
-    if (c && !c->dead && c->session && c->session->established()) ++n;
+    if (c && !c->dead() && c->session && c->session->established()) ++n;
   }
   return n;
 }
 
-void SwitchFleet::update_interest(FleetConn& c) {
-  std::uint32_t want = EPOLLIN;
-  if (!c.connected || c.out_head < c.outq.size()) want |= EPOLLOUT;
-  if (want == c.interest) return;
-  epoll_event ev{};
-  ev.events = want;
-  ev.data.u64 = c.idx;
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, c.fd.get(), &ev) == 0) {
-    c.interest = want;
-  }
-}
-
 void SwitchFleet::drop(FleetConn& c) {
-  if (c.dead) return;
-  c.dead = true;
-  c.fd.reset();  // epoll deregisters on close
+  if (c.dead()) return;
+  c.link.close();  // epoll deregisters on close
   ++run_stats_.session_failures;
 }
 
-void SwitchFleet::pump_writes(FleetConn& c) {
-  // Stage the session's queued frames, then write as much as the socket
-  // takes.
-  crypto::Bytes& outbox = c.session->outbox();
-  if (!outbox.empty()) {
-    if (c.out_head == c.outq.size()) {
-      c.outq.clear();
-      c.out_head = 0;
-    }
-    c.outq.insert(c.outq.end(), outbox.begin(), outbox.end());
-    outbox.clear();
-  }
-  while (c.out_head < c.outq.size()) {
-    const IoSlice slice{c.outq.data() + c.out_head,
-                        c.outq.size() - c.out_head};
-    const IoResult res = write_vec(c.fd.get(), &slice, 1);
-    if (res.status == IoStatus::kWouldBlock) break;
-    if (res.status != IoStatus::kOk) {
-      drop(c);
-      return;
-    }
-    c.out_head += res.bytes;
-  }
-  if (c.out_head == c.outq.size()) {
-    c.outq.clear();
-    c.out_head = 0;
-  }
-  update_interest(c);
+void SwitchFleet::flush(FleetConn& c) {
+  c.link.queue(c.session->outbox());
+  if (c.link.flush().status == IoStatus::kError) drop(c);
 }
 
-bool SwitchFleet::read_into(FleetConn& c) {
-  for (;;) {
-    const IoResult res =
-        read_some(c.fd.get(), read_buf_.data(), read_buf_.size());
-    if (res.status == IoStatus::kWouldBlock) return true;
-    if (res.status != IoStatus::kOk) {
-      drop(c);
-      return false;
-    }
-    if (!c.session->on_bytes(crypto::BytesView{read_buf_.data(), res.bytes})) {
-      drop(c);
-      return false;
-    }
-    if (res.bytes < read_buf_.size()) return true;
-  }
+bool SwitchFleet::receive(FleetConn& c) {
+  const IoResult res = c.link.read([&c](crypto::BytesView chunk) {
+    return c.session->on_bytes(chunk);
+  });
+  if (res.status == IoStatus::kWouldBlock) return true;
+  drop(c);
+  return false;
 }
 
 std::size_t SwitchFleet::establish(int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
+  const std::int64_t deadline = deadline_after_ms(timeout_ms);
   ensure_fd_limit(config_.connections + 256);
 
   conns_.reserve(config_.connections);
@@ -300,22 +228,30 @@ std::size_t SwitchFleet::establish(int timeout_ms) {
         derive_quote_key(config_.quote_root_key, conn->place));
     conn->device_signer = signers_[i % signers_.size()].get();
     try {
-      conn->fd = connect_loopback(config_.port);
+      conn->link = Link(connect_loopback(config_.port));
     } catch (const std::exception&) {
       ++failed;
       return true;
     }
+    // Edge-triggered: a flush that leaves bytes queued hit EAGAIN, so the
+    // kernel reports the socket again once it drains.
     epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLOUT;
+    ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
     ev.data.u64 = i;
-    conn->interest = EPOLLIN | EPOLLOUT;
-    ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, conn->fd.get(), &ev);
+    ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, conn->link.fd(), &ev);
     if (conns_.size() <= i) conns_.resize(i + 1);
     conns_[i] = std::move(conn);
     return true;
   };
 
-  for (std::size_t i = 0; i < config_.connect_burst; ++i) {
+  // A connection that fails before its handshake completes makes room
+  // for the next one.
+  auto fail = [&](FleetConn& c) {
+    drop(c);
+    ++failed;
+    launch_next();
+  };
+  for (std::size_t i = 0; i < kConnectBurst; ++i) {
     if (!launch_next()) break;
   }
 
@@ -329,24 +265,18 @@ std::size_t SwitchFleet::establish(int timeout_ms) {
     if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < n; ++i) {
       const std::size_t idx = events[i].data.u64;
-      if (idx >= conns_.size() || !conns_[idx] || conns_[idx]->dead) continue;
+      if (idx >= conns_.size() || !conns_[idx] || conns_[idx]->dead()) continue;
       FleetConn& c = *conns_[idx];
-      const bool was_established = c.session && c.session->established();
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 && !c.connected) {
-        drop(c);
-        ++failed;
-        launch_next();
-        continue;
-      }
-      if ((events[i].events & EPOLLOUT) != 0 && !c.connected) {
-        if (!connect_finished(c.fd.get())) {
-          drop(c);
-          ++failed;
-          launch_next();
+      const std::uint32_t ev = events[i].events;
+      if (!c.connected) {
+        if ((ev & (EPOLLHUP | EPOLLERR)) != 0 ||
+            ((ev & EPOLLOUT) != 0 && !connect_finished(c.link.fd()))) {
+          fail(c);
           continue;
         }
+        if ((ev & EPOLLOUT) == 0) continue;
         c.connected = true;
-        set_nodelay(c.fd.get());
+        set_nodelay(c.link.fd());
         ClientSessionConfig sc;
         sc.place = c.place;
         sc.role = SessionRole::kSwitch;
@@ -357,12 +287,8 @@ std::size_t SwitchFleet::establish(int timeout_ms) {
         sc.make_quote = [qs, meas, place](const crypto::Nonce& nonce) {
           return Quote::make(place, nonce, meas, *qs);
         };
-        const crypto::Digest cert_key = config_.cert_key;
-        const crypto::Digest golden = config_.appraiser_golden;
-        sc.verify_counter_quote = [cert_key, golden](const Quote& q) {
-          const crypto::HmacVerifier v(cert_key);
-          return q.verify(v) && q.measurement == golden;
-        };
+        sc.verify_counter_quote =
+            counter_quote_check(config_.cert_key, config_.appraiser_golden);
         crypto::Nonce session_nonce;
         // Unique per (fleet run, conn): low bytes carry the index.
         std::memcpy(session_nonce.value.v.data(), &idx, sizeof(idx));
@@ -372,30 +298,17 @@ std::size_t SwitchFleet::establish(int timeout_ms) {
         c.session = std::make_unique<ClientSession>(std::move(sc),
                                                     session_nonce);
         c.session->start();
-        pump_writes(c);
-        if (c.dead) {
-          ++failed;
-          launch_next();
-        }
+        flush(c);
+        if (c.dead()) fail(c);
         continue;
       }
-      if (!c.connected) continue;
-      if ((events[i].events & EPOLLOUT) != 0) pump_writes(c);
-      if (c.dead || !c.session) continue;
-      if ((events[i].events & EPOLLIN) != 0) {
-        if (!read_into(c)) {
-          ++failed;
-          launch_next();
-          continue;
-        }
-        pump_writes(c);
-      }
-      if (!was_established && c.session->established()) {
+      const bool was_established = c.session->established();
+      if ((ev & EPOLLOUT) != 0) flush(c);
+      if (!c.dead() && (ev & EPOLLIN) != 0 && receive(c)) flush(c);
+      if (c.dead() || c.session->failed()) {
+        fail(c);
+      } else if (!was_established && c.session->established()) {
         ++established;
-        launch_next();
-      } else if (c.session->failed()) {
-        drop(c);
-        ++failed;
         launch_next();
       }
     }
@@ -419,8 +332,8 @@ void SwitchFleet::send_round(FleetConn& c) {
 
 SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
                                               int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
   const std::int64_t t0 = now_ns();
+  const std::int64_t deadline = deadline_after_ms(timeout_ms);
   run_stats_ = RunStats{};
   run_stats_.established = established_count();
   run_stats_.latency_us.reserve(
@@ -429,14 +342,14 @@ SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
   std::uint64_t sent = 0;
   // Prime every established session up to the pipeline depth.
   for (auto& cp : conns_) {
-    if (!cp || cp->dead || !cp->session || !cp->session->established()) {
+    if (!cp || cp->dead() || !cp->session || !cp->session->established()) {
       continue;
     }
     for (std::size_t d = 0; d < config_.depth && sent < total_rounds; ++d) {
       send_round(*cp);
       ++sent;
     }
-    pump_writes(*cp);
+    flush(*cp);
   }
 
   constexpr int kMaxEvents = 512;
@@ -450,16 +363,16 @@ SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
     if (n == 0 && established_count() == 0) break;
     for (int i = 0; i < n; ++i) {
       const std::size_t idx = events[i].data.u64;
-      if (idx >= conns_.size() || !conns_[idx] || conns_[idx]->dead) continue;
+      if (idx >= conns_.size() || !conns_[idx] || conns_[idx]->dead()) continue;
       FleetConn& c = *conns_[idx];
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         drop(c);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) pump_writes(c);
-      if (c.dead) continue;
+      if ((events[i].events & EPOLLOUT) != 0) flush(c);
+      if (c.dead()) continue;
       if ((events[i].events & EPOLLIN) != 0) {
-        if (!read_into(c)) continue;
+        if (!receive(c)) continue;
         const std::int64_t t_now = now_ns();
         for (ra::Certificate& cert : c.session->take_results()) {
           if (!c.inflight.empty()) {
@@ -475,7 +388,7 @@ SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
             ++sent;
           }
         }
-        pump_writes(c);
+        flush(c);
       }
     }
   }
@@ -486,13 +399,11 @@ SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
 
 void SwitchFleet::shutdown() {
   for (auto& cp : conns_) {
-    if (!cp || cp->dead || !cp->session) continue;
+    if (!cp || cp->dead() || !cp->session) continue;
     if (cp->session->established()) {
       cp->session->send_bye();
-      pump_writes(*cp);
+      flush(*cp);
     }
-    cp->fd.reset();
-    cp->dead = true;
   }
   conns_.clear();
 }

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,6 +56,28 @@ struct ClientIdentity {
     const std::string& place, const crypto::Digest& measurement,
     const crypto::Nonce& nonce, crypto::Signer& signer);
 
+/// Mutual mode's check of the appraiser's counter-quote: it verifies
+/// under the appraiser identity key `cert_key` and claims `golden`.
+[[nodiscard]] std::function<bool(const Quote&)> counter_quote_check(
+    const crypto::Digest& cert_key, const crypto::Digest& golden);
+
+// Blocking drive of a client session over a Link, shared by SwitchClient
+// and SocketBackend. False when the connection failed: `error` says why,
+// or the session's own error_text when it failed.
+
+/// Connect `link` to `port` and run `session`'s handshake in `timeout_ms`.
+bool connect_session(Link& link, ClientSession& session, std::uint16_t port,
+                     int timeout_ms, std::string& error);
+
+/// Write everything the session queued, waiting until `deadline_ns`.
+bool flush_session(Link& link, ClientSession& session,
+                   std::int64_t deadline_ns, std::string& error);
+
+/// Flush, wait for input until `deadline_ns`, feed what arrived to the
+/// session and flush any reply. True when nothing arrived in time.
+bool pump_session(Link& link, ClientSession& session,
+                  std::int64_t deadline_ns, std::string& error);
+
 /// One blocking switch connection.
 class SwitchClient {
  public:
@@ -91,14 +114,11 @@ class SwitchClient {
   [[nodiscard]] ClientSession* session() { return session_.get(); }
 
  private:
-  bool flush(int timeout_ms);
-  bool pump(int timeout_ms);  // flush + read once; false on close/error
-
   ClientIdentity identity_;
   std::unique_ptr<crypto::Signer> quote_signer_;
   std::unique_ptr<crypto::Signer> device_signer_;
   crypto::NonceRegistry nonces_;
-  Fd fd_;
+  Link link_;
   std::unique_ptr<ClientSession> session_;
   std::string error_;
 };
@@ -120,8 +140,6 @@ class SwitchFleet {
     bool mutual = false;
     crypto::Digest cert_key{};
     crypto::Digest appraiser_golden{};
-    /// Accept()s outstanding at once during the connect storm.
-    std::size_t connect_burst = 256;
   };
 
   struct RunStats {
@@ -156,9 +174,11 @@ class SwitchFleet {
  private:
   struct FleetConn;
 
-  void pump_writes(FleetConn& c);
-  void update_interest(FleetConn& c);
-  bool read_into(FleetConn& c);
+  /// Connects outstanding at once during the connect storm.
+  static constexpr std::size_t kConnectBurst = 256;
+
+  void flush(FleetConn& c);
+  bool receive(FleetConn& c);
   void send_round(FleetConn& c);
   void drop(FleetConn& c);
 
@@ -166,7 +186,6 @@ class SwitchFleet {
   Fd epoll_;
   std::vector<std::unique_ptr<FleetConn>> conns_;
   std::vector<std::unique_ptr<crypto::Signer>> signers_;  // per device key
-  std::vector<std::uint8_t> read_buf_;
   std::uint64_t next_nonce_ = 1;
   RunStats run_stats_;
 };

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <stdexcept>
@@ -13,16 +14,6 @@
 #include "obs/obs.h"
 
 namespace pera::net {
-
-namespace {
-
-std::int64_t wall_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 /// Work posted across threads into a reactor: adopted connections (from
 /// the accepting reactor), signed-result requests (from appraiser
@@ -41,19 +32,15 @@ struct AppraiserServer::Inbound {
 struct AppraiserServer::Conn {
   explicit Conn(const ServerSessionConfig* config) : session(config) {}
 
-  Fd fd;
+  Link link;
   std::uint64_t token = 0;
   ServerSession session;
-  std::deque<crypto::Bytes> outq;
-  std::size_t out_head = 0;   // consumed prefix of outq.front()
-  std::size_t out_bytes = 0;  // total buffered (minus out_head)
   std::uint64_t next_seq = 0;
   std::uint32_t interest = 0;
   bool reads_paused = false;
-  bool closing = false;        // close once outq drains
+  bool closing = false;        // close once the write queue drains
   bool place_registered = false;
   bool reject_counted = false;
-  bool counted_open = false;
 };
 
 struct AppraiserServer::Reactor {
@@ -67,7 +54,6 @@ struct AppraiserServer::Reactor {
   std::unique_ptr<crypto::Signer> cert_signer;
   std::mutex inbox_mu;
   std::vector<Inbound> inbox;
-  std::vector<std::uint8_t> read_buf;
 };
 
 AppraiserServer::AppraiserServer(ServerConfig config)
@@ -75,23 +61,15 @@ AppraiserServer::AppraiserServer(ServerConfig config)
   if (config_.reactors == 0) config_.reactors = 1;
   if (config_.reactors > 255) config_.reactors = 255;
   if (config_.appraiser_workers == 0) config_.appraiser_workers = 1;
-  if (config_.write_buffer_resume > config_.write_buffer_limit) {
-    config_.write_buffer_resume = config_.write_buffer_limit / 2;
-  }
 }
 
 AppraiserServer::~AppraiserServer() { stop(); }
 
 RejectReason AppraiserServer::check_quote(const Quote& q) const {
-  if (!config_.known_places.empty()) {
-    bool known = false;
-    for (const std::string& p : config_.known_places) {
-      if (p == q.place) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return RejectReason::kUnknownPlace;
+  const std::vector<std::string>& known = config_.known_places;
+  if (!known.empty() &&
+      std::find(known.begin(), known.end(), q.place) == known.end()) {
+    return RejectReason::kUnknownPlace;
   }
   const crypto::HmacVerifier v(derive_quote_key(config_.quote_root_key,
                                                 q.place));
@@ -131,10 +109,8 @@ void AppraiserServer::start() {
 
   pipeline::AppraiserOptions opts;
   opts.workers = config_.appraiser_workers;
-  opts.queue_capacity = config_.ring_capacity;
   opts.scheme = config_.scheme;
   opts.xmss_height = config_.xmss_height;
-  opts.verify_burst = config_.verify_burst;
   opts.record_hook = [this](const pipeline::EvidenceItem& item,
                             pipeline::AppraisedRecord&& rec) {
     on_appraised(item, std::move(rec));
@@ -154,7 +130,6 @@ void AppraiserServer::start() {
     r->wake = Fd(::eventfd(0, EFD_NONBLOCK));
     if (!r->wake.valid()) throw std::runtime_error("eventfd failed");
     r->cert_signer = std::make_unique<crypto::HmacSigner>(config_.cert_key);
-    r->read_buf.resize(64 * 1024);
 
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -260,8 +235,8 @@ void AppraiserServer::run_reactor(std::size_t idx) {
         close_conn(r, token);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) conn_writable(r, c);
-      // conn_writable can close on write error — re-check liveness.
+      if ((events[i].events & EPOLLOUT) != 0) flush_writes(r, c);
+      // flush_writes can close on write error — re-check liveness.
       if (r.conns.find(token) == r.conns.end()) continue;
       if ((events[i].events & EPOLLIN) != 0) conn_readable(r, c);
     }
@@ -288,8 +263,7 @@ void AppraiserServer::accept_ready(Reactor& r) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       return;  // transient accept failure; epoll will re-arm
     }
-    if (open_sessions_.load(std::memory_order_relaxed) >=
-        config_.max_sessions) {
+    if (open_sessions_.load(std::memory_order_relaxed) >= kMaxSessions) {
       ::close(fd);
       PERA_OBS_COUNT("net.server.accept_overflow");
       continue;
@@ -309,11 +283,10 @@ void AppraiserServer::accept_ready(Reactor& r) {
 void AppraiserServer::adopt_conn(Reactor& r, int fd) {
   set_nodelay(fd);
   auto conn = std::make_unique<Conn>(&session_config_);
-  conn->fd = Fd(fd);
+  conn->link = Link(Fd(fd));
   conn->token = (static_cast<std::uint64_t>(r.idx) << kTokenReactorShift) |
                 ++r.next_conn;
   conn->interest = EPOLLIN;
-  conn->counted_open = true;
   open_sessions_.fetch_add(1, std::memory_order_relaxed);
   PERA_OBS_GAUGE("net.server.open",
                  open_sessions_.load(std::memory_order_relaxed));
@@ -346,7 +319,7 @@ void AppraiserServer::drain_inbox(Reactor& r) {
         if (it == r.conns.end()) break;  // session left before its verdict
         it->second->session.queue_result(ra::Certificate::issue(
             config_.appraiser_name, item.nonce, item.evidence, item.verdict,
-            wall_ns(), *r.cert_signer));
+            now_ns(), *r.cert_signer));
         results_sent_.fetch_add(1, std::memory_order_relaxed);
         PERA_OBS_COUNT("net.server.results");
         after_progress(r, *it->second);
@@ -365,45 +338,33 @@ void AppraiserServer::drain_inbox(Reactor& r) {
 
 void AppraiserServer::conn_readable(Reactor& r, Conn& c) {
   if (c.reads_paused || c.closing) return;
-  const std::uint64_t token = c.token;
-  for (;;) {
-    const IoResult res =
-        read_some(c.fd.get(), r.read_buf.data(), r.read_buf.size());
-    if (res.status == IoStatus::kWouldBlock) break;
-    if (res.status == IoStatus::kClosed || res.status == IoStatus::kError) {
-      close_conn(r, token);
-      return;
-    }
-    bytes_in_.fetch_add(res.bytes, std::memory_order_relaxed);
-    const bool ok = c.session.on_bytes(
-        crypto::BytesView{r.read_buf.data(), res.bytes});
-    if (!ok) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      c.closing = true;  // flush whatever the session queued (reject ack)
-      break;
-    }
-    if (c.session.wants_close()) {
-      c.closing = true;
-      break;
-    }
-    if (res.bytes < r.read_buf.size()) break;  // drained the socket
+  const IoResult res =
+      c.link.read([&c, this](crypto::BytesView chunk) {
+        if (!c.session.on_bytes(chunk)) {
+          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+          c.closing = true;  // flush whatever the session queued (reject ack)
+          return false;
+        }
+        return !c.session.wants_close();
+      });
+  bytes_in_.fetch_add(res.bytes, std::memory_order_relaxed);
+  if (res.status == IoStatus::kClosed || res.status == IoStatus::kError) {
+    close_conn(r, c.token);
+    return;
   }
   after_progress(r, c);
 }
 
 void AppraiserServer::after_progress(Reactor& r, Conn& c) {
   // 1. Session state side effects.
-  if (c.session.established() &&
-      c.session.role() == SessionRole::kSwitch && !c.place_registered) {
+  if (c.session.established() && !c.place_registered) {
     c.place_registered = true;
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(place_mu_);
-    place_index_[c.session.place()] = c.token;
-  } else if (c.session.established() &&
-             c.session.role() == SessionRole::kRelyingParty &&
-             !c.place_registered) {
-    c.place_registered = true;  // counted, not indexed
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    // Switches are indexed for challenge relay; relying parties are not.
+    if (c.session.role() == SessionRole::kSwitch) {
+      const std::lock_guard<std::mutex> lock(place_mu_);
+      place_index_[c.session.place()] = c.token;
+    }
   }
   if (c.session.state() == ServerSession::State::kRejected &&
       !c.reject_counted) {
@@ -452,79 +413,39 @@ void AppraiserServer::after_progress(Reactor& r, Conn& c) {
   }
 
   // 4. Move queued frames to the write queue and flush what we can.
-  crypto::Bytes& outbox = c.session.outbox();
-  if (!outbox.empty()) {
-    c.out_bytes += outbox.size();
-    c.outq.push_back(std::move(outbox));
-    outbox.clear();
-  }
+  c.link.queue(c.session.outbox());
   flush_writes(r, c);
 }
 
 void AppraiserServer::flush_writes(Reactor& r, Conn& c) {
-  const std::uint64_t token = c.token;
-  while (!c.outq.empty()) {
-    constexpr std::size_t kMaxSlices = 64;
-    IoSlice slices[kMaxSlices];
-    std::size_t n = 0;
-    for (const crypto::Bytes& chunk : c.outq) {
-      if (n == kMaxSlices) break;
-      const std::size_t off = (n == 0) ? c.out_head : 0;
-      slices[n].data = chunk.data() + off;
-      slices[n].len = chunk.size() - off;
-      ++n;
-    }
-    const IoResult res = write_vec(c.fd.get(), slices, n);
-    if (res.status == IoStatus::kWouldBlock) break;
-    if (res.status != IoStatus::kOk) {
-      close_conn(r, token);
-      return;
-    }
-    bytes_out_.fetch_add(res.bytes, std::memory_order_relaxed);
-    c.out_bytes -= res.bytes;
-    std::size_t consumed = res.bytes;
-    while (consumed > 0 && !c.outq.empty()) {
-      crypto::Bytes& front = c.outq.front();
-      const std::size_t left = front.size() - c.out_head;
-      if (consumed >= left) {
-        consumed -= left;
-        c.out_head = 0;
-        c.outq.pop_front();
-      } else {
-        c.out_head += consumed;
-        consumed = 0;
-      }
-    }
-  }
-  if (c.outq.empty() && c.closing) {
-    close_conn(r, token);
+  const IoResult res = c.link.flush();
+  bytes_out_.fetch_add(res.bytes, std::memory_order_relaxed);
+  const std::size_t owed = c.link.pending_bytes();
+  if (res.status == IoStatus::kError || (c.closing && owed == 0)) {
+    close_conn(r, c.token);
     return;
   }
   // Backpressure: a peer that stops reading gets its own reads paused
   // until it drains what we already owe it.
-  if (!c.reads_paused && c.out_bytes > config_.write_buffer_limit) {
+  if (!c.reads_paused && owed > kWriteBufferLimit) {
     c.reads_paused = true;
     read_pauses_.fetch_add(1, std::memory_order_relaxed);
     PERA_OBS_COUNT("net.server.read_pause");
-  } else if (c.reads_paused && c.out_bytes < config_.write_buffer_resume) {
+  } else if (c.reads_paused && owed < kWriteBufferResume) {
     c.reads_paused = false;
   }
   update_interest(r, c);
 }
 
-void AppraiserServer::conn_writable(Reactor& r, Conn& c) {
-  flush_writes(r, c);
-}
-
 void AppraiserServer::update_interest(Reactor& r, Conn& c) {
   std::uint32_t want = 0;
   if (!c.reads_paused && !c.closing) want |= EPOLLIN;
-  if (!c.outq.empty()) want |= EPOLLOUT;
+  if (c.link.pending_bytes() != 0) want |= EPOLLOUT;
   if (want == c.interest) return;
   epoll_event ev{};
   ev.events = want;
   ev.data.u64 = c.token;
-  if (::epoll_ctl(r.epoll.get(), EPOLL_CTL_MOD, c.fd.get(), &ev) == 0) {
+  if (::epoll_ctl(r.epoll.get(), EPOLL_CTL_MOD, c.link.fd(), &ev) == 0) {
     c.interest = want;
   }
 }
@@ -540,11 +461,9 @@ void AppraiserServer::close_conn(Reactor& r, std::uint64_t token) {
       place_index_.erase(pit);
     }
   }
-  if (c.counted_open) {
-    open_sessions_.fetch_sub(1, std::memory_order_relaxed);
-    PERA_OBS_GAUGE("net.server.open",
-                   open_sessions_.load(std::memory_order_relaxed));
-  }
+  open_sessions_.fetch_sub(1, std::memory_order_relaxed);
+  PERA_OBS_GAUGE("net.server.open",
+                 open_sessions_.load(std::memory_order_relaxed));
   r.conns.erase(it);  // closes the fd; epoll deregisters automatically
 }
 
@@ -565,10 +484,9 @@ ServerStats AppraiserServer::stats() const {
 }
 
 bool AppraiserServer::wait_for_rounds(std::uint64_t n, int timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const std::int64_t deadline = deadline_after_ms(timeout_ms);
   while (rounds_appraised_.load(std::memory_order_acquire) < n) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (remaining_ms(deadline) == 0) return false;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return true;

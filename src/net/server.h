@@ -23,16 +23,16 @@
 //    the owning reactor's inbox, where the certificate is signed and
 //    queued on the originating session — or on the relying-party session
 //    whose relayed challenge produced the evidence.
-//  * Writes are buffered per connection (deque of byte chunks, flushed
-//    with writev). A connection whose buffered output exceeds
-//    write_buffer_limit has EPOLLIN paused until the peer drains it
-//    below write_buffer_resume — slow readers stall themselves, not the
-//    server.
+//  * Each connection moves its bytes through a `Link` (socket.h), the
+//    driver every endpoint shares: session output is queued as chunks
+//    and flushed with writev; reads run until the socket drains. A
+//    connection owing more than kWriteBufferLimit bytes has EPOLLIN
+//    paused until the peer drains it below kWriteBufferResume — slow
+//    readers stall themselves, not the server.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,13 +52,6 @@ struct ServerConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; see AppraiserServer::port()
   std::size_t reactors = 1;
   std::size_t appraiser_workers = 1;
-  std::size_t verify_burst = 16;
-  std::size_t ring_capacity = 4096;
-  std::size_t max_sessions = 1 << 15;
-  /// Pause reads above this many buffered outbound bytes per connection…
-  std::size_t write_buffer_limit = 1 << 20;
-  /// …resume below this.
-  std::size_t write_buffer_resume = 256 * 1024;
   std::string appraiser_name = "appraiser";
   std::uint64_t nonce_seed = 0xC0C0'0001;
 
@@ -104,6 +97,14 @@ struct ServerStats {
 
 class AppraiserServer {
  public:
+  /// Connections accepted beyond this many open sessions are closed at
+  /// once, before any hello (net.server.accept_overflow).
+  static constexpr std::size_t kMaxSessions = std::size_t{1} << 15;
+  /// Pause a connection's reads above this many queued outbound bytes…
+  static constexpr std::size_t kWriteBufferLimit = std::size_t{1} << 20;
+  /// …and resume them below this.
+  static constexpr std::size_t kWriteBufferResume = 256 * 1024;
+
   explicit AppraiserServer(ServerConfig config);
   ~AppraiserServer();
 
@@ -136,7 +137,6 @@ class AppraiserServer {
   void adopt_conn(Reactor& r, int fd);
   void drain_inbox(Reactor& r);
   void conn_readable(Reactor& r, Conn& c);
-  void conn_writable(Reactor& r, Conn& c);
   void after_progress(Reactor& r, Conn& c);
   void flush_writes(Reactor& r, Conn& c);
   void update_interest(Reactor& r, Conn& c);

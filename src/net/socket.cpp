@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -130,8 +131,13 @@ IoResult write_vec(int fd, const IoSlice* iov, std::size_t n) {
     vec[i].iov_base = const_cast<std::uint8_t*>(iov[i].data);
     vec[i].iov_len = iov[i].len;
   }
+  msghdr msg{};
+  msg.msg_iov = vec;
+  msg.msg_iovlen = count;
   for (;;) {
-    const ssize_t w = ::writev(fd, vec, static_cast<int>(count));
+    // sendmsg, not writev: MSG_NOSIGNAL turns a write to a reset peer
+    // into EPIPE instead of a process-killing SIGPIPE.
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w >= 0) return {IoStatus::kOk, static_cast<std::size_t>(w)};
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -149,6 +155,77 @@ std::uint64_t ensure_fd_limit(std::uint64_t want) {
   raised.rlim_cur = want < lim.rlim_max ? want : lim.rlim_max;
   if (::setrlimit(RLIMIT_NOFILE, &raised) == 0) return raised.rlim_cur;
   return lim.rlim_cur;
+}
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::int64_t deadline_after_ms(int timeout_ms) {
+  return now_ns() + std::int64_t{timeout_ms} * 1'000'000;
+}
+
+int remaining_ms(std::int64_t deadline_ns) {
+  const std::int64_t left = deadline_ns - now_ns();
+  if (left <= 0) return 0;
+  return static_cast<int>(left / 1'000'000) + 1;
+}
+
+// --- Link -------------------------------------------------------------------
+
+void Link::queue(crypto::Bytes& outbox) {
+  if (outbox.empty()) return;
+  out_bytes_ += outbox.size();
+  outq_.push_back(std::move(outbox));
+  outbox.clear();
+}
+
+IoResult Link::flush() {
+  constexpr std::size_t kMaxSlices = 64;
+  std::size_t written = 0;
+  while (!outq_.empty()) {
+    IoSlice slices[kMaxSlices];
+    std::size_t n = 0;
+    for (const crypto::Bytes& chunk : outq_) {
+      if (n == kMaxSlices) break;
+      const std::size_t off = n == 0 ? out_head_ : 0;
+      slices[n++] = {chunk.data() + off, chunk.size() - off};
+    }
+    const IoResult res = write_vec(fd_.get(), slices, n);
+    if (res.status != IoStatus::kOk) return {res.status, written};
+    written += res.bytes;
+    out_bytes_ -= res.bytes;
+    // Retire the chunks the kernel took; a partial one keeps its offset.
+    out_head_ += res.bytes;
+    while (!outq_.empty() && out_head_ >= outq_.front().size()) {
+      out_head_ -= outq_.front().size();
+      outq_.pop_front();
+    }
+  }
+  return {IoStatus::kOk, written};
+}
+
+IoStatus Link::flush_until(std::int64_t deadline_ns) {
+  for (;;) {
+    const IoStatus status = flush().status;
+    if (status != IoStatus::kWouldBlock) return status;
+    const int wait = remaining_ms(deadline_ns);
+    if (wait == 0) return IoStatus::kWouldBlock;
+    pollfd p{fd_.get(), POLLOUT, 0};
+    if (::poll(&p, 1, wait) < 0 && errno != EINTR) return IoStatus::kError;
+  }
+}
+
+crypto::Bytes& Link::read_buffer() {
+  thread_local crypto::Bytes buf(64 * 1024);
+  return buf;
+}
+
+bool Link::wait_readable(std::int64_t deadline_ns) const {
+  pollfd p{fd_.get(), POLLIN, 0};
+  return ::poll(&p, 1, remaining_ms(deadline_ns)) > 0;
 }
 
 }  // namespace pera::net

@@ -1,9 +1,11 @@
-// Thin POSIX socket layer under the reactor: RAII fd ownership,
-// nonblocking loopback listen/connect, and the read/writev wrappers the
-// event loop uses. No protocol knowledge lives here.
+// Thin POSIX socket layer under every endpoint: RAII fd ownership,
+// nonblocking loopback listen/connect, the read/write wrappers, and the
+// one socket driver (`Link`) the server and all clients move bytes
+// through. No protocol knowledge lives here.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 
@@ -83,8 +85,9 @@ struct IoResult {
 [[nodiscard]] IoResult read_some(int fd, std::uint8_t* buf,
                                  std::size_t buf_len);
 
-/// writev the byte ranges in `iov` (built by the caller from its write
-/// queue); partial writes return kOk with the short count.
+/// Gather-write the byte ranges in `iov` (at most 64 per call) to a
+/// socket; partial writes return kOk with the short count. A peer that
+/// has gone away yields kError, never SIGPIPE.
 struct IoSlice {
   const std::uint8_t* data = nullptr;
   std::size_t len = 0;
@@ -94,5 +97,79 @@ struct IoSlice {
 /// Best-effort bump of RLIMIT_NOFILE to at least `want` descriptors
 /// (capped at the hard limit). Returns the resulting soft limit.
 std::uint64_t ensure_fd_limit(std::uint64_t want);
+
+/// Monotonic clock in nanoseconds: deadlines, timers, certificate stamps.
+[[nodiscard]] std::int64_t now_ns();
+
+/// The deadline `timeout_ms` milliseconds from now.
+[[nodiscard]] std::int64_t deadline_after_ms(int timeout_ms);
+
+/// Milliseconds left until `deadline_ns`, rounded up; 0 once it passed.
+[[nodiscard]] int remaining_ms(std::int64_t deadline_ns);
+
+/// The socket driver: one socket, its outbound chunk queue (written with
+/// writev, up to 64 chunks a call) and its read loop. The offset into
+/// the first chunk persists across flushes, so a byte the kernel took is
+/// never offered again, however the flush that wrote it ended.
+class Link {
+ public:
+  Link() = default;
+  explicit Link(Fd fd) : fd_(std::move(fd)) {}
+
+  [[nodiscard]] int fd() const { return fd_.get(); }
+  [[nodiscard]] bool valid() const { return fd_.valid(); }
+
+  /// Close the socket and drop whatever is still queued.
+  void close() { *this = Link(); }
+
+  /// Move `outbox` to the back of the write queue, leaving it empty.
+  void queue(crypto::Bytes& outbox);
+
+  /// Bytes queued and not yet written.
+  [[nodiscard]] std::size_t pending_bytes() const { return out_bytes_; }
+
+  /// Write without blocking until the queue is empty (kOk) or the socket
+  /// is full (kWouldBlock). kError means the connection failed. `bytes`
+  /// counts what this call wrote.
+  IoResult flush();
+
+  /// Write, waiting for the socket to take more, until the queue is
+  /// empty (kOk), `deadline_ns` passes (kWouldBlock: the unsent rest
+  /// stays queued) or the connection fails (kError).
+  IoStatus flush_until(std::int64_t deadline_ns);
+
+  /// Wait until the socket is readable (or hung up) or `deadline_ns`.
+  [[nodiscard]] bool wait_readable(std::int64_t deadline_ns) const;
+
+  /// Read until the socket is drained, handing each chunk to `on_bytes`
+  /// (`bool(crypto::BytesView)`; false stops the loop). Returns
+  /// kWouldBlock once drained, kOk when `on_bytes` stopped it, and
+  /// kClosed or kError when the peer is gone. `bytes` counts what was
+  /// read, including chunks handed over before a close.
+  template <class OnBytes>
+  IoResult read(OnBytes&& on_bytes) {
+    crypto::Bytes& buf = read_buffer();
+    std::size_t total = 0;
+    for (;;) {
+      const IoResult res = read_some(fd_.get(), buf.data(), buf.size());
+      if (res.status != IoStatus::kOk) return {res.status, total};
+      total += res.bytes;
+      if (!on_bytes(crypto::BytesView{buf.data(), res.bytes})) {
+        return {IoStatus::kOk, total};
+      }
+      // A short read drained the socket; skip the read that would say so.
+      if (res.bytes < buf.size()) return {IoStatus::kWouldBlock, total};
+    }
+  }
+
+ private:
+  /// The calling thread's 64 KiB read buffer, shared by its links.
+  static crypto::Bytes& read_buffer();
+
+  Fd fd_;
+  std::deque<crypto::Bytes> outq_;
+  std::size_t out_head_ = 0;   // bytes of outq_.front() already written
+  std::size_t out_bytes_ = 0;  // queued bytes not yet written
+};
 
 }  // namespace pera::net

@@ -18,7 +18,6 @@ ParallelAppraiser::ParallelAppraiser(const crypto::Digest& root_key,
       verifiers_(root_key, label, max_shards, options.scheme,
                  options.xmss_height) {
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.verify_burst == 0) options_.verify_burst = 1;
 }
 
 ParallelAppraiser::~ParallelAppraiser() { finish(); }
@@ -31,7 +30,7 @@ void ParallelAppraiser::start(std::size_t producers) {
   rings_.reserve(producers_ * options_.workers);
   for (std::size_t i = 0; i < producers_ * options_.workers; ++i) {
     rings_.push_back(
-        std::make_unique<SpscQueue<EvidenceItem>>(options_.queue_capacity));
+        std::make_unique<SpscQueue<EvidenceItem>>(kRingCapacity));
   }
   states_.resize(options_.workers);
   threads_.reserve(options_.workers);
@@ -92,7 +91,7 @@ void ParallelAppraiser::run_worker(std::size_t w) {
     std::size_t popped = 0;
     for (std::size_t p = 0; p < producers_; ++p) {
       SpscQueue<EvidenceItem>& q = ring(p, w);
-      for (std::size_t n = 0; n < options_.verify_burst; ++n) {
+      for (std::size_t n = 0; n < kVerifyBurst; ++n) {
         if (!q.try_pop(item)) break;
         ++popped;
         appraise(state, item);

@@ -45,12 +45,9 @@ namespace pera::pipeline {
 
 struct AppraiserOptions {
   std::size_t workers = 1;
-  std::size_t queue_capacity = 4096;  // per (producer, worker) ring
   nac::CompositionMode mode = nac::CompositionMode::kChained;
   crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
   unsigned xmss_height = 8;
-  /// Max items popped per ring visit — the verification batch grain.
-  std::size_t verify_burst = 16;
   /// Pin worker i to core pin_base + i (affinity.h); < 0 = no pinning.
   int pin_base = -1;
   /// Streaming mode: when set, each appraised record is handed to this
@@ -64,6 +61,11 @@ struct AppraiserOptions {
 
 class ParallelAppraiser final : public EvidenceSink {
  public:
+  /// Capacity of each (producer, worker) evidence ring.
+  static constexpr std::size_t kRingCapacity = 4096;
+  /// Max items popped per ring visit — the verification batch grain.
+  static constexpr std::size_t kVerifyBurst = 16;
+
   /// Provision verifiers for up to `max_shards` derived device keys,
   /// exactly like ShardedAppraiser.
   ParallelAppraiser(const crypto::Digest& root_key, std::string_view label,

@@ -44,11 +44,9 @@ PeraPipeline::PeraPipeline(std::string name, ProgramFactory factory,
   if (options_.appraisers > 0) {
     AppraiserOptions ao;
     ao.workers = options_.appraisers;
-    ao.queue_capacity = options_.appraiser_queue_capacity;
     ao.mode = options_.appraise_mode;
     ao.scheme = options_.scheme;
     ao.xmss_height = options_.xmss_height;
-    ao.verify_burst = options_.verify_burst;
     ao.pin_base =
         options_.pin_cores ? static_cast<int>(options_.shards) : -1;
     appraiser_ = std::make_unique<ParallelAppraiser>(

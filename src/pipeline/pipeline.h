@@ -56,10 +56,6 @@ struct PipelineOptions {
   /// walk through the multi-lane SHA-256 engine.
   crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
   unsigned xmss_height = 8;
-  /// Capacity of each (shard, appraiser) evidence ring.
-  std::size_t appraiser_queue_capacity = 4096;
-  /// Items an appraiser pops per ring visit (verification batch grain).
-  std::size_t verify_burst = 16;
   /// Pin threads round-robin: shard i -> core i, appraiser j -> core
   /// shards + j (modulo the host's core count). Best effort.
   bool pin_cores = false;

@@ -9,11 +9,16 @@
 // appraiser node and the socket server).
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -658,6 +663,272 @@ TEST(NetLoopback, FleetOfConcurrentSessionsCompletesRounds) {
   const net::ServerStats st = server.stats();
   EXPECT_EQ(st.sessions_accepted, 64u);
   EXPECT_GE(st.rounds_appraised, 256u);
+}
+
+// A switch driven by hand over a raw socket, so a test decides exactly
+// when it writes and whether it reads.
+struct RawSwitch {
+  RawSwitch(const E2eKeys& keys, std::uint16_t port, std::uint64_t seed)
+      : fd(net::connect_loopback_blocking(port, 2000)),
+        quote_signer(net::derive_quote_key(keys.quote_root, "sw0")),
+        device_signer(keys.device_keys()[0]),
+        golden(keys.golden) {
+    net::ClientSessionConfig cfg;
+    cfg.place = "sw0";
+    cfg.role = net::SessionRole::kSwitch;
+    cfg.make_quote = [this](const crypto::Nonce& n) {
+      return net::Quote::make("sw0", n, golden, quote_signer);
+    };
+    session = std::make_unique<net::ClientSession>(std::move(cfg),
+                                                   nonce_of(seed));
+  }
+
+  // Queue one evidence round signed over `n`.
+  void queue_round(const crypto::Nonce& n) {
+    session->send_evidence(
+        n, view(net::make_signed_evidence("sw0", golden, n, device_signer)));
+  }
+
+  // Write what the socket takes now; false on a write error.
+  bool write_some() {
+    crypto::Bytes& box = session->outbox();
+    out.insert(out.end(), box.begin(), box.end());
+    box.clear();
+    while (head < out.size()) {
+      const net::IoSlice slice{out.data() + head, out.size() - head};
+      const net::IoResult res = net::write_vec(fd.get(), &slice, 1);
+      if (res.status == net::IoStatus::kWouldBlock) return true;
+      if (res.status != net::IoStatus::kOk) return false;
+      head += res.bytes;
+    }
+    out.clear();
+    head = 0;
+    return true;
+  }
+
+  // Read what has arrived into the session; false on close or error.
+  bool read_ready() {
+    std::uint8_t buf[16 * 1024];
+    for (;;) {
+      const net::IoResult res = net::read_some(fd.get(), buf, sizeof(buf));
+      if (res.status == net::IoStatus::kWouldBlock) return true;
+      if (res.status != net::IoStatus::kOk) return false;
+      if (!session->on_bytes(crypto::BytesView{buf, res.bytes})) return false;
+    }
+  }
+
+  // Poll for `events` for up to `ms`, then write and read.
+  bool step(short events, int ms) {
+    pollfd p{fd.get(), events, 0};
+    (void)::poll(&p, 1, ms);
+    if (!write_some()) return false;
+    return (p.revents & POLLIN) == 0 || read_ready();
+  }
+
+  bool handshake() {
+    session->start();
+    for (int i = 0; i < 200 && !session->established(); ++i) {
+      if (session->failed() || !step(POLLIN, 10)) return false;
+    }
+    return session->established();
+  }
+
+  net::Fd fd;
+  crypto::HmacSigner quote_signer;
+  crypto::HmacSigner device_signer;
+  crypto::Digest golden;
+  std::unique_ptr<net::ClientSession> session;
+  crypto::Bytes out;  // written from `head`
+  std::size_t head = 0;
+};
+
+template <class Pred>
+bool wait_until(Pred pred, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A switch hangs up with certificates still unread: it half-closes
+// (the server sees the FIN but, busy with the backlog, has not read it),
+// then closes, and the kernel answers with a reset. The server's next
+// certificate write then meets a dead peer. That must cost the server
+// one connection, not the process: no SIGPIPE.
+TEST(NetLoopback, PeerClosingWithUnreadResultsLeavesServerUp) {
+  E2eKeys keys;
+  net::AppraiserServer server(keys.server_config());
+  server.start();
+  for (std::uint64_t run = 0; run < 3; ++run) {
+    RawSwitch sw(keys, server.port(), 0xE2E'0201 + run);
+    ASSERT_TRUE(sw.fd.valid());
+    ASSERT_TRUE(sw.handshake()) << sw.session->error_text();
+    for (std::uint64_t i = 0; i < 20'000; ++i) sw.queue_round(nonce_of(i));
+    ASSERT_TRUE(sw.write_some());  // one flush; the rest is never sent
+    ::shutdown(sw.fd.get(), SHUT_WR);
+    // Close once the server has acknowledged the FIN, or once it is
+    // clear it will not soon: a server that paused this connection's
+    // reads for backpressure leaves the FIN queued behind unread rounds.
+    (void)wait_until(
+        [&] {
+          tcp_info ti{};
+          socklen_t len = sizeof(ti);
+          ::getsockopt(sw.fd.get(), IPPROTO_TCP, TCP_INFO, &ti, &len);
+          return ti.tcpi_state == TCP_FIN_WAIT2;
+        },
+        1000);
+    sw.fd.reset();
+    ASSERT_TRUE(wait_until(
+        [&] { return server.stats().sessions_open == 0; }, 10'000));
+  }
+
+  net::SwitchClient fresh(keys.identity("sw1", 0xE2E'0211));
+  ASSERT_TRUE(fresh.connect(server.port(), 2000)) << fresh.error_text();
+  const auto cert = fresh.round(2000);
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_TRUE(cert->verdict);
+  fresh.close();
+  server.stop();
+}
+
+// SwitchClient::round(0) times out its writes against a peer that stops
+// reading after the handshake, then trickles 700 bytes every 200 us.
+// Whatever part of a frame a timed-out flush already wrote must never be
+// offered again: every byte the peer gets decodes, and no round arrives
+// twice.
+TEST(NetLoopback, WriteTimeoutNeverResendsWrittenBytes) {
+  E2eKeys keys;
+  net::Fd listener = net::listen_loopback(0);
+  const std::uint16_t port = net::local_port(listener.get());
+
+  net::ServerSessionConfig cfg;
+  cfg.check_quote = [](const net::Quote&) { return RejectReason::kNone; };
+  cfg.admit_nonce = [](const crypto::Nonce&) { return true; };
+  cfg.make_server_nonce = [] { return nonce_of(0); };
+  net::ServerSession peer(&cfg);
+  std::vector<crypto::Nonce> received;
+  enum Phase : int { kStalled, kTrickle, kDrain };
+  std::atomic<int> phase{kStalled};
+  std::thread appraiser([&] {
+    pollfd lp{listener.get(), POLLIN, 0};
+    if (::poll(&lp, 1, 5000) <= 0) return;
+    const net::Fd conn(::accept(listener.get(), nullptr, nullptr));  // blocking
+    std::vector<std::uint8_t> buf(64 * 1024);
+    for (;;) {
+      const int ph = phase.load(std::memory_order_acquire);
+      if (peer.established() && ph == kStalled) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
+      const std::size_t want = ph == kTrickle ? 700 : buf.size();
+      const net::IoResult res = net::read_some(conn.get(), buf.data(), want);
+      if (res.status != net::IoStatus::kOk) return;  // EOF ends the run
+      if (!peer.on_bytes(crypto::BytesView{buf.data(), res.bytes})) return;
+      for (net::EvidenceRound& r : peer.take_evidence()) {
+        received.push_back(r.nonce);
+      }
+      crypto::Bytes& ack = peer.outbox();
+      for (std::size_t off = 0; off < ack.size();) {
+        const net::IoSlice s{ack.data() + off, ack.size() - off};
+        const net::IoResult w = net::write_vec(conn.get(), &s, 1);
+        if (w.status != net::IoStatus::kOk) return;
+        off += w.bytes;
+      }
+      ack.clear();
+      if (ph == kTrickle) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  });
+
+  net::SwitchClient client(keys.identity("sw0", 0xE2E'0301));
+  const bool connected = client.connect(port, 2000);
+  // Fill the socket until a flush times out, then keep queueing rounds
+  // for 300 ms while the peer trickles: each window it reopens takes a
+  // partial write that ends in another timeout.
+  std::uint64_t rounds = 0;
+  std::optional<std::chrono::steady_clock::time_point> stop_at;
+  while (connected && rounds < 400'000) {
+    (void)client.round(0);
+    ++rounds;
+    if (!stop_at && client.error_text() == "write timeout") {
+      stop_at = std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(300);
+      phase.store(kTrickle, std::memory_order_release);
+    }
+    if (stop_at) {
+      if (std::chrono::steady_clock::now() >= *stop_at) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  phase.store(kDrain, std::memory_order_release);
+  client.close();  // bye, flushed for up to 100 ms, then FIN
+  appraiser.join();
+
+  ASSERT_TRUE(connected) << client.error_text();
+  ASSERT_TRUE(stop_at.has_value()) << "no write ever timed out";
+  EXPECT_EQ(peer.error_text(), "");
+  ASSERT_FALSE(received.empty());
+  std::set<crypto::Digest> distinct;
+  for (const crypto::Nonce& n : received) distinct.insert(n.value);
+  EXPECT_EQ(distinct.size(), received.size()) << "a round arrived twice";
+  EXPECT_LE(received.size(), rounds);
+  if (peer.peer_said_bye()) {
+    EXPECT_EQ(received.size(), rounds);
+  }
+}
+
+// A switch that pipelines rounds without reading makes the server owe
+// it more than the 1 MiB write-buffer mark: the server pauses that
+// connection's reads. Once the switch drains, every certificate arrives,
+// in the order the rounds were sent.
+TEST(NetLoopback, SlowReaderPausesReadsThenGetsEveryCertificateInOrder) {
+  E2eKeys keys;
+  net::ServerConfig sc = keys.server_config();
+  sc.reactors = 1;
+  net::AppraiserServer server(sc);
+  server.start();
+
+  RawSwitch sw(keys, server.port(), 0xE2E'0401);
+  ASSERT_TRUE(sw.fd.valid());
+  ASSERT_TRUE(sw.handshake()) << sw.session->error_text();
+
+  std::vector<crypto::Nonce> sent;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.stats().read_pauses == 0 && sent.size() < 1'000'000 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (sw.out.size() - sw.head < 64 * 1024) {
+      for (int i = 0; i < 256; ++i) {
+        sent.push_back(nonce_of(sent.size()));
+        sw.queue_round(sent.back());
+      }
+    }
+    pollfd p{sw.fd.get(), POLLOUT, 0};
+    (void)::poll(&p, 1, 1);
+    ASSERT_TRUE(sw.write_some());
+  }
+  ASSERT_GE(server.stats().read_pauses, 1u);
+
+  // Drain: write the rest, read everything.
+  std::vector<ra::Certificate> certs;
+  while (certs.size() < sent.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    const short events = sw.head < sw.out.size() ? POLLIN | POLLOUT : POLLIN;
+    ASSERT_TRUE(sw.step(events, 10));
+    for (ra::Certificate& c : sw.session->take_results()) {
+      certs.push_back(std::move(c));
+    }
+  }
+  ASSERT_EQ(certs.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_EQ(certs[i].nonce.value, sent[i].value) << "certificate " << i;
+    ASSERT_TRUE(certs[i].verdict) << "certificate " << i;
+  }
+  server.stop();
 }
 
 // ------------------------------------------------- challenge relay + RP --
