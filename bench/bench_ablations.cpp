@@ -6,8 +6,6 @@
 //   * Prim3 reachability checking cost by topology size.
 #include <benchmark/benchmark.h>
 
-#include "obs_bench_main.h"
-
 #include <memory>
 
 #include "core/deployment.h"
@@ -200,5 +198,3 @@ void BM_Ablation_ReachabilityCheck(benchmark::State& state) {
 BENCHMARK(BM_Ablation_ReachabilityCheck)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 }  // namespace
-
-PERA_BENCH_MAIN();

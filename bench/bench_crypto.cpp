@@ -14,9 +14,8 @@
 // committed JSON carries its own baseline: engine rows vs scalar_legacy is
 // the speedup this subsystem bought, on the machine that recorded it.
 //
-// Extra flags (stripped before Google Benchmark sees the rest):
-//   --smoke        tiny measurement windows; CI correctness/regression run
-//   --json=PATH    output path (default BENCH_crypto.json)
+// Flags: --smoke (tiny measurement windows, no Google Benchmark pass; the
+// CI run) and bench/harness.h's common ones.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,11 +32,12 @@
 #include "crypto/sha256_backend.h"
 #include "crypto/sha256_backend_impl.h"
 #include "crypto/wots.h"
-#include "obs_bench_main.h"
+#include "harness.h"
 
 namespace {
 
 using namespace pera::crypto;
+namespace bench = pera::bench;
 
 // --- pre-engine reference implementation ---------------------------------
 // The hot path exactly as shipped before the backend engine: a streaming
@@ -198,11 +198,6 @@ wots::PublicKey recover_public(const wots::Signature& sig,
 
 // -------------------------------------------------------------------------
 
-struct BenchConfig {
-  bool smoke = false;
-  std::string json_path = "BENCH_crypto.json";
-};
-
 // Time-targeted measurement: run `fn` (which performs `ops_per_call`
 // operations) until the window elapses; repeat the window and keep the
 // median, which shrugs off the scheduling stalls a shared 1-core host
@@ -239,8 +234,8 @@ struct BackendRow {
   double derive67_ops = 0.0;
 };
 
-BackendRow measure_backend(const std::string& name, const BenchConfig& cfg) {
-  const double win = cfg.smoke ? 0.02 : 0.25;
+// `win` is the measurement window in seconds.
+BackendRow measure_backend(const std::string& name, double win) {
   BackendRow row;
   row.backend = name;
 
@@ -310,8 +305,7 @@ BackendRow measure_backend(const std::string& name, const BenchConfig& cfg) {
 
 // The pre-engine baseline always runs on the scalar compressor — that is
 // what every caller got before this subsystem existed.
-BackendRow measure_legacy(const BenchConfig& cfg) {
-  const double win = cfg.smoke ? 0.02 : 0.25;
+BackendRow measure_legacy(double win) {
   BackendRow row;
   row.backend = "scalar_legacy";
 
@@ -354,36 +348,7 @@ BackendRow measure_legacy(const BenchConfig& cfg) {
   return row;
 }
 
-void write_json(const std::vector<BackendRow>& rows, const BenchConfig& cfg) {
-  std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_crypto: cannot write %s\n",
-                 cfg.json_path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"smoke\": %s,\n  \"cpu\": {\"shani\": %s, \"avx2\": "
-               "%s},\n  \"auto_backend\": \"%s\",\n  \"results\": [\n",
-               cfg.smoke ? "true" : "false",
-               engine::cpu_has_shani() ? "true" : "false",
-               engine::cpu_has_avx2() ? "true" : "false",
-               engine::active().name);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BackendRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"sha256_single_hps\": %.0f, "
-                 "\"sha256_multi8_hps\": %.0f, \"wots_sign_ops\": %.1f, "
-                 "\"wots_verify_ops\": %.1f, \"wots_signverify_ops\": %.1f, "
-                 "\"derive_keys_67_ops\": %.1f}%s\n",
-                 r.backend.c_str(), r.sha256_single_hps, r.sha256_multi8_hps,
-                 r.wots_sign_ops, r.wots_verify_ops, r.wots_signverify_ops,
-                 r.derive67_ops, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-int run_suite(const BenchConfig& cfg) {
+std::vector<BackendRow> run_suite(double win) {
   // Resolve the auto choice once (for the JSON header) before the per-
   // backend select() calls overwrite it.
   const std::string auto_name = engine::active().name;
@@ -391,7 +356,7 @@ int run_suite(const BenchConfig& cfg) {
   std::vector<BackendRow> rows;
   for (const std::string& name : engine::available()) {
     if (!engine::select(name)) continue;
-    rows.push_back(measure_backend(name, cfg));
+    rows.push_back(measure_backend(name, win));
     const BackendRow& r = rows.back();
     std::printf(
         "%-13s single=%10.0f h/s  multi8=%10.0f h/s  sign=%8.1f/s  "
@@ -402,7 +367,7 @@ int run_suite(const BenchConfig& cfg) {
   }
 
   engine::select("scalar");
-  rows.push_back(measure_legacy(cfg));
+  rows.push_back(measure_legacy(win));
   {
     const BackendRow& r = rows.back();
     std::printf(
@@ -412,10 +377,7 @@ int run_suite(const BenchConfig& cfg) {
         r.wots_verify_ops, r.wots_signverify_ops);
   }
   engine::select(auto_name);
-
-  write_json(rows, cfg);
-  std::printf("wrote %s\n", cfg.json_path.c_str());
-  return 0;
+  return rows;
 }
 
 // Google-Benchmark view of the headline number, so the binary composes
@@ -436,22 +398,28 @@ BENCHMARK(BM_WotsSignVerify);
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig cfg;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      cfg.smoke = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cfg.json_path = arg.substr(7);
-    } else {
-      argv[out_argc++] = argv[i];
-    }
-  }
-  argc = out_argc;
+  bool smoke = false;
+  bench::Harness h(bench::Runner::kGoogleBenchmark, "BENCH_crypto.json");
+  h.flag("smoke", smoke,
+         "tiny measurement windows, and no Google Benchmark pass");
+  if (const int rc = h.parse(argc, argv); rc != 0) return rc;
 
-  const int rc = run_suite(cfg);
-  if (rc != 0) return rc;
-  if (cfg.smoke) return 0;  // suite only; skip the Google Benchmark pass
-  return ::pera::obs_bench::run(argc, argv);
+  const std::vector<BackendRow> rows = run_suite(smoke ? 0.02 : 0.25);
+  bench::Json j;
+  j.field("smoke", smoke).object("cpu");
+  j.field("shani", engine::cpu_has_shani())
+      .field("avx2", engine::cpu_has_avx2()).end();
+  j.field("auto_backend", engine::active().name).array("results");
+  for (const BackendRow& r : rows) {
+    j.object().field("backend", r.backend)
+        .field("sha256_single_hps", r.sha256_single_hps, 0)
+        .field("sha256_multi8_hps", r.sha256_multi8_hps, 0)
+        .field("wots_sign_ops", r.wots_sign_ops, 1)
+        .field("wots_verify_ops", r.wots_verify_ops, 1)
+        .field("wots_signverify_ops", r.wots_signverify_ops, 1)
+        .field("derive_keys_67_ops", r.derive67_ops, 1).end();
+  }
+  h.write(j);
+  if (!smoke) h.run_benchmarks();
+  return h.finish();
 }

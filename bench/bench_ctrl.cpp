@@ -17,12 +17,9 @@
 // cadence: detection latency degrades with the full-detail sampling rate
 // while message overhead barely moves.
 //
-// Flags: --smoke (one tiny cell), --seeds=N, --json=PATH,
-//        --metrics-json=PATH (obs dump; "-" = stdout). Unknown flags are
-//        ignored. Results land in BENCH_ctrl.json (committed).
+// Flags: --smoke (one tiny cell), --seeds=N and bench/harness.h's common
+// ones. Results land in BENCH_ctrl.json (committed).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,8 +27,8 @@
 #include "adversary/attacks.h"
 #include "core/deployment.h"
 #include "ctrl/controller.h"
+#include "harness.h"
 #include "netsim/topology.h"
-#include "obs/obs.h"
 
 namespace {
 
@@ -164,21 +161,22 @@ void print_cell(const char* tag, const Cell& c) {
       c.ctl_kbytes_per_s, c.timeout_rate);
 }
 
-void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"interval_ms\": %lld, \"loss\": %.2f, \"sampling_log2\": %d, "
-        "\"seeds\": %zu, \"detected\": %zu, \"detect_ms_mean\": %.1f, "
-        "\"detect_ms_min\": %.1f, \"detect_ms_max\": %.1f, "
-        "\"ctl_msgs_per_s\": %.1f, \"ctl_kbytes_per_s\": %.1f, "
-        "\"rounds_per_s\": %.1f, \"timeout_rate\": %.4f}%s\n",
-        static_cast<long long>(c.interval_ms), c.loss, c.sampling_log2,
-        c.seeds, c.detected, c.detect_ms_mean, c.detect_ms_min,
-        c.detect_ms_max, c.ctl_msgs_per_s, c.ctl_kbytes_per_s, c.rounds_per_s,
-        c.timeout_rate, i + 1 < cells.size() ? "," : "");
+void add_cells(bench::Json& j, std::string_view key,
+               const std::vector<Cell>& cells) {
+  j.array(key);
+  for (const Cell& c : cells) {
+    j.object().field("interval_ms", c.interval_ms).field("loss", c.loss, 2)
+        .field("sampling_log2", c.sampling_log2).field("seeds", c.seeds)
+        .field("detected", c.detected)
+        .field("detect_ms_mean", c.detect_ms_mean, 1)
+        .field("detect_ms_min", c.detect_ms_min, 1)
+        .field("detect_ms_max", c.detect_ms_max, 1)
+        .field("ctl_msgs_per_s", c.ctl_msgs_per_s, 1)
+        .field("ctl_kbytes_per_s", c.ctl_kbytes_per_s, 1)
+        .field("rounds_per_s", c.rounds_per_s, 1)
+        .field("timeout_rate", c.timeout_rate, 4).end();
   }
+  j.end();
 }
 
 }  // namespace
@@ -186,22 +184,11 @@ void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::size_t seeds = 5;
-  std::string json_path = "BENCH_ctrl.json";
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--seeds=", 0) == 0) seeds = std::strtoull(arg.c_str() + 8, nullptr, 10);
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
+  bench::Harness h(bench::Runner::kPlain, "BENCH_ctrl.json");
+  h.flag("smoke", smoke, "one tiny cell, no gate");
+  h.flag("seeds", seeds, "seeds averaged per cell");
+  if (const int rc = h.parse(argc, argv); rc != 0) return rc;
   if (seeds == 0) seeds = 1;
-
-  if (!metrics_path.empty()) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
 
   std::vector<Cell> cells;
   std::vector<Cell> sampling_cells;
@@ -221,50 +208,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_ctrl: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"scenario\": \"core2 program swap on isp() at %lld ms\","
-               "\n  \"seeds\": %zu,\n  \"cells\": [\n",
-               static_cast<long long>(kSwapAt / netsim::kMillisecond), seeds);
-  write_cells(f, cells);
-  std::fprintf(f, "  ],\n  \"sampling_cells\": [\n");
-  write_cells(f, sampling_cells);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!metrics_path.empty()) {
-    const std::string json = obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* mf = std::fopen(metrics_path.c_str(), "w");
-      if (mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      }
-    }
-  }
+  bench::Json j;
+  j.field("scenario", "core2 program swap on isp() at " +
+                          std::to_string(kSwapAt / netsim::kMillisecond) +
+                          " ms")
+      .field("seeds", seeds);
+  add_cells(j, "cells", cells);
+  add_cells(j, "sampling_cells", sampling_cells);
+  h.write(j);
 
   // Acceptance gate: within every loss rate, mean detection latency must
   // rise with the interval (monotone in re-attestation frequency).
-  bool monotone = true;
   if (!smoke) {
     for (const double loss : {0.0, 0.02, 0.05}) {
       double prev = -1.0;
+      bool monotone = true;
       for (const Cell& c : cells) {
         if (c.loss != loss || c.detected == 0) continue;
         if (prev >= 0 && c.detect_ms_mean < prev) monotone = false;
         prev = c.detect_ms_mean;
       }
+      h.gate("monotone-detection", monotone,
+             "detection latency rises with the interval at loss=%.2f", loss);
     }
-    std::printf("detection latency monotone in interval: %s\n",
-                monotone ? "yes" : "NO");
   }
-  return monotone ? 0 : 1;
+  return h.finish();
 }

@@ -6,8 +6,6 @@
 // figure is architectural; the series here quantify each arrow of it.
 #include <benchmark/benchmark.h>
 
-#include "obs_bench_main.h"
-
 #include "ra/roles.h"
 
 namespace {
@@ -104,5 +102,3 @@ void BM_Fig1_CertificateVerify(benchmark::State& state) {
 BENCHMARK(BM_Fig1_CertificateVerify);
 
 }  // namespace
-
-PERA_BENCH_MAIN();

@@ -7,8 +7,6 @@
 // bytes on the wire, swept over path length.
 #include <benchmark/benchmark.h>
 
-#include "obs_bench_main.h"
-
 #include "core/deployment.h"
 
 namespace {
@@ -92,5 +90,3 @@ void BM_Fig2_FlowInBandVsOob(benchmark::State& state) {
 BENCHMARK(BM_Fig2_FlowInBandVsOob)->Arg(1)->Arg(0);
 
 }  // namespace
-
-PERA_BENCH_MAIN();

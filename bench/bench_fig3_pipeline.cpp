@@ -7,8 +7,6 @@
 // sign/verify unit under both signer schemes.
 #include <benchmark/benchmark.h>
 
-#include "obs_bench_main.h"
-
 #include "crypto/keystore.h"
 #include "nac/compiler.h"
 #include "pera/pera_switch.h"
@@ -178,5 +176,3 @@ void BM_Fig3_Sha256(benchmark::State& state) {
 BENCHMARK(BM_Fig3_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
 
 }  // namespace
-
-PERA_BENCH_MAIN();

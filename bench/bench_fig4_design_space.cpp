@@ -8,8 +8,6 @@
 // Counters report the simulated per-packet RA cost and cache hit rates.
 #include <benchmark/benchmark.h>
 
-#include "obs_bench_main.h"
-
 #include "core/deployment.h"
 #include "crypto/keystore.h"
 
@@ -183,5 +181,3 @@ BENCHMARK(BM_Fig4_DetailSweep)
     ->Arg(nac::kAllDetail);
 
 }  // namespace
-
-PERA_BENCH_MAIN();

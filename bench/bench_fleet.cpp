@@ -21,12 +21,9 @@
 //   G3  the hierarchy's recovered verdicts match flat per-switch central
 //       appraisal bit-for-bit on the parity cell
 //
-// Flags: --smoke (one small cell + gates G2/G3), --json=PATH.
-// Unknown flags are ignored. Results land in BENCH_fleet.json
-// (committed).
+// Flags: --smoke (one small cell + gates G2/G3) and bench/harness.h's
+// common ones. Results land in BENCH_fleet.json (committed).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,6 +34,7 @@
 #include "core/deployment.h"
 #include "dataplane/builder.h"
 #include "fleet/controller.h"
+#include "harness.h"
 #include "netsim/topology.h"
 
 namespace {
@@ -175,51 +173,22 @@ void print_cell(const Cell& c) {
       c.r.load_ok ? "" : "  LOAD-BOUND VIOLATED");
 }
 
-void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"switches\": %zu, \"fanout\": %zu, \"loss\": %.2f, "
-        "\"detected\": %s, \"detect_ms\": %.1f, "
-        "\"msgs_per_switch_per_wave\": %.2f, \"peak_root_load\": %zu, "
-        "\"peak_regional_load\": %zu, \"waves\": %llu, "
-        "\"aggregates_valid\": %llu, \"aggregates_invalid\": %llu, "
-        "\"load_ok\": %s}%s\n",
-        c.switches, c.fanout, c.loss, c.r.detected ? "true" : "false",
-        c.r.detect_ms, c.r.msgs_per_switch_per_wave, c.r.peak_root_load,
-        c.r.peak_regional_load, static_cast<unsigned long long>(c.r.waves),
-        static_cast<unsigned long long>(c.r.aggregates_valid),
-        static_cast<unsigned long long>(c.r.aggregates_invalid),
-        c.r.load_ok ? "true" : "false", i + 1 < cells.size() ? "," : "");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_fleet.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
+  bench::Harness h(bench::Runner::kPlain, "BENCH_fleet.json");
+  h.flag("smoke", smoke, "one small cell, gates G2 and G3 only");
+  if (const int rc = h.parse(argc, argv); rc != 0) return rc;
 
   const std::uint64_t seed = 1000;
   std::vector<Cell> cells;
-  bool gates_ok = true;
-  std::string gate_report;
 
   if (smoke) {
     Cell c{100, 16, 0.01, run_once(100, 16, 0.01, seed, /*parity=*/true)};
     print_cell(c);
     cells.push_back(c);
-    if (!c.r.detected) {
-      gates_ok = false;
-      gate_report += "FAIL smoke: victim not detected\n";
-    }
+    h.gate("smoke-detection", c.r.detected, "victim detected");
   } else {
     for (const double loss : {0.0, 0.01}) {
       for (const std::size_t n : {std::size_t{100}, std::size_t{1000},
@@ -241,57 +210,39 @@ int main(int argc, char** argv) {
       }
       if (small == nullptr || large == nullptr || !small->r.detected ||
           !large->r.detected) {
-        gates_ok = false;
-        gate_report += "FAIL G1: missing detection at loss=" +
-                       std::to_string(loss) + "\n";
+        h.gate("G1-scale", false, "missing detection at loss=%.2f", loss);
         continue;
       }
-      if (large->r.detect_ms > 2.0 * small->r.detect_ms) {
-        gates_ok = false;
-        char buf[160];
-        std::snprintf(buf, sizeof buf,
-                      "FAIL G1: 10k detect %.1f ms > 2x 100-switch %.1f ms "
-                      "(loss=%.2f)\n",
-                      large->r.detect_ms, small->r.detect_ms, loss);
-        gate_report += buf;
-      }
+      h.gate("G1-scale", large->r.detect_ms <= 2.0 * small->r.detect_ms,
+             "10k detect %.1f ms vs 2x 100-switch %.1f ms (loss=%.2f)",
+             large->r.detect_ms, small->r.detect_ms, loss);
     }
   }
   for (const Cell& c : cells) {
-    if (!c.r.load_ok) {
-      gates_ok = false;
-      gate_report += "FAIL G2: appraiser load exceeded fanout at n=" +
-                     std::to_string(c.switches) + "\n";
-    }
-    if (!c.r.parity_ok) {
-      gates_ok = false;
-      gate_report += "FAIL G3: verdict parity broken at n=" +
-                     std::to_string(c.switches) + "\n";
-    }
+    h.gate("G2-load-bound", c.r.load_ok,
+           "appraiser load within fanout at n=%zu", c.switches);
+    h.gate("G3-parity", c.r.parity_ok,
+           "hierarchy matches flat verdicts at n=%zu", c.switches);
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_fleet: cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Json j;
+  j.field("scenario", "victim program swap at " +
+                          std::to_string(kSwapAt / netsim::kMillisecond) +
+                          " ms, hierarchical appraisal on topo::fleet")
+      .field("wave_interval_ms", 100)
+      .field("gates", h.gates_passed() ? "pass" : "FAIL").array("cells");
+  for (const Cell& c : cells) {
+    j.object().field("switches", c.switches).field("fanout", c.fanout)
+        .field("loss", c.loss, 2).field("detected", c.r.detected)
+        .field("detect_ms", c.r.detect_ms, 1)
+        .field("msgs_per_switch_per_wave", c.r.msgs_per_switch_per_wave, 2)
+        .field("peak_root_load", c.r.peak_root_load)
+        .field("peak_regional_load", c.r.peak_regional_load)
+        .field("waves", c.r.waves)
+        .field("aggregates_valid", c.r.aggregates_valid)
+        .field("aggregates_invalid", c.r.aggregates_invalid)
+        .field("load_ok", c.r.load_ok).end();
   }
-  std::fprintf(f,
-               "{\n  \"scenario\": \"victim program swap at %lld ms, "
-               "hierarchical appraisal on topo::fleet\",\n"
-               "  \"wave_interval_ms\": 100,\n  \"gates\": \"%s\",\n"
-               "  \"cells\": [\n",
-               static_cast<long long>(kSwapAt / netsim::kMillisecond),
-               gates_ok ? "pass" : "FAIL");
-  write_cells(f, cells);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!gates_ok) {
-    std::fprintf(stderr, "%s", gate_report.c_str());
-    std::printf("GATES FAILED\n");
-    return 1;
-  }
-  std::printf("all gates passed\n");
-  return 0;
+  h.write(j);
+  return h.finish();
 }

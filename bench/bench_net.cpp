@@ -24,20 +24,20 @@
 //   3. a switch whose quote claims a tampered measurement is refused
 //      admission (the transport's whole point).
 //
-// Flags: --smoke (small fleet), --json=PATH, --metrics-json=PATH.
+// Flags: --smoke (small fleet) and bench/harness.h's common ones.
 // Results land in BENCH_net.json (committed).
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/sha256.h"
 #include "net/client.h"
+#include "harness.h"
 #include "net/server.h"
-#include "obs/obs.h"
+#include "netsim/stats.h"
 #include "pipeline/pipeline.h"
 
 namespace {
@@ -70,15 +70,6 @@ struct Cell {
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
 };
-
-double percentile(std::vector<float>& v, double p) {
-  if (v.empty()) return 0.0;
-  const std::size_t idx = std::min(
-      v.size() - 1, static_cast<std::size_t>(p * double(v.size() - 1)));
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                   v.end());
-  return double(v[idx]);
-}
 
 Cell run_cell(const Keys& keys, std::size_t connections, std::size_t reactors,
               std::uint64_t total_rounds, std::size_t depth) {
@@ -121,8 +112,10 @@ Cell run_cell(const Keys& keys, std::size_t connections, std::size_t reactors,
   cell.rounds_per_s =
       rs.wall_ns > 0 ? double(rs.rounds_completed) * 1e9 / double(rs.wall_ns)
                      : 0.0;
-  cell.latency_p50_us = percentile(rs.latency_us, 0.50);
-  cell.latency_p99_us = percentile(rs.latency_us, 0.99);
+  netsim::Summary latency;
+  for (const float us : rs.latency_us) latency.add(us);
+  cell.latency_p50_us = latency.percentile(0.50);
+  cell.latency_p99_us = latency.percentile(0.99);
   fleet.shutdown();
   server.stop();
   return cell;
@@ -139,22 +132,20 @@ void print_cell(const char* tag, const Cell& c) {
       static_cast<unsigned long long>(c.session_failures));
 }
 
-void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"connections\": %zu, \"reactors\": %zu, \"established\": %zu, "
-        "\"establish_ms\": %.1f, \"rounds\": %llu, \"rounds_per_s\": %.1f, "
-        "\"latency_p50_us\": %.1f, \"latency_p99_us\": %.1f, "
-        "\"verdict_failures\": %llu, \"session_failures\": %llu}%s\n",
-        c.connections, c.reactors, c.established, c.establish_ms,
-        static_cast<unsigned long long>(c.rounds), c.rounds_per_s,
-        c.latency_p50_us, c.latency_p99_us,
-        static_cast<unsigned long long>(c.verdict_failures),
-        static_cast<unsigned long long>(c.session_failures),
-        i + 1 < cells.size() ? "," : "");
+void add_cells(bench::Json& j, std::string_view key,
+               const std::vector<Cell>& cells) {
+  j.array(key);
+  for (const Cell& c : cells) {
+    j.object().field("connections", c.connections).field("reactors", c.reactors)
+        .field("established", c.established)
+        .field("establish_ms", c.establish_ms, 1).field("rounds", c.rounds)
+        .field("rounds_per_s", c.rounds_per_s, 1)
+        .field("latency_p50_us", c.latency_p50_us, 1)
+        .field("latency_p99_us", c.latency_p99_us, 1)
+        .field("verdict_failures", c.verdict_failures)
+        .field("session_failures", c.session_failures).end();
   }
+  j.end();
 }
 
 // Gate 3: tampered measurement in the quote → refused at the door.
@@ -185,19 +176,9 @@ bool bad_quote_rejected(const Keys& keys) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_net.json";
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
-  if (!metrics_path.empty()) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
+  bench::Harness h(bench::Runner::kPlain, "BENCH_net.json");
+  h.flag("smoke", smoke, "small fleet");
+  if (const int rc = h.parse(argc, argv); rc != 0) return rc;
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const Keys keys;
@@ -224,46 +205,22 @@ int main(int argc, char** argv) {
 
   const bool gate_reject = bad_quote_rejected(keys);
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_net: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"transport\": \"loopback TCP, epoll reactors, "
-               "RA-session handshake\",\n  \"host_threads\": %u,\n"
-               "  \"scaling_cells\": [\n",
-               hw);
-  write_cells(f, scaling);
-  std::fprintf(f, "  ],\n  \"reactor_cells\": [\n");
-  write_cells(f, shards);
-  std::fprintf(f, "  ],\n  \"bad_quote_rejected\": %s\n}\n",
-               gate_reject ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!metrics_path.empty()) {
-    const std::string json = obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* mf = std::fopen(metrics_path.c_str(), "w");
-      if (mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      }
-    }
-  }
+  bench::Json j;
+  j.field("transport", "loopback TCP, epoll reactors, RA-session handshake")
+      .field("host_threads", hw);
+  add_cells(j, "scaling_cells", scaling);
+  add_cells(j, "reactor_cells", shards);
+  j.field("bad_quote_rejected", gate_reject);
+  h.write(j);
 
   // Gate 1: the top cell establishes and completes everything.
   const Cell& top = scaling.back();
-  const bool gate_scale = top.established == top.connections &&
-                          top.rounds == top.connections * 8 &&
-                          top.verdict_failures == 0 &&
-                          top.session_failures == 0;
-  std::printf("gate: %zu/%zu sessions established, all rounds true: %s\n",
-              top.established, top.connections, gate_scale ? "yes" : "NO");
+  h.gate("all-sessions",
+         top.established == top.connections &&
+             top.rounds == top.connections * 8 && top.verdict_failures == 0 &&
+             top.session_failures == 0,
+         "%zu/%zu sessions established, all rounds true", top.established,
+         top.connections);
 
   // Gate 2: host-aware no-collapse floor for reactor sharding, judged at
   // the deployable 2-shard point (the 4-shard cell is recorded as data;
@@ -273,13 +230,10 @@ int main(int argc, char** argv) {
   const double floor = hw >= 2 ? 0.8 : 0.5;
   const double base = shards.front().rounds_per_s;
   const double deployed = shards[1].rounds_per_s;
-  const bool gate_shards = base > 0 && deployed >= floor * base;
-  std::printf("gate: reactor sharding %.0f -> %.0f rounds/s at 2 shards "
-              "(floor %.1fx on %u threads): %s\n",
-              base, deployed, floor, hw, gate_shards ? "yes" : "NO");
+  h.gate("reactor-sharding", base > 0 && deployed >= floor * base,
+         "%.0f -> %.0f rounds/s at 2 shards (floor %.1fx on %u threads)",
+         base, deployed, floor, hw);
 
-  std::printf("gate: tampered quote refused admission: %s\n",
-              gate_reject ? "yes" : "NO");
-
-  return (gate_scale && gate_shards && gate_reject) ? 0 : 1;
+  h.gate("bad-quote", gate_reject, "tampered quote refused admission");
+  return h.finish();
 }

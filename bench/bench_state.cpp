@@ -20,19 +20,16 @@
 // index against the reference linear scan (n <= 10k; the scan at 1M
 // would dominate the bench runtime for no extra information).
 //
-// Flags: --smoke (tiny sizes), --rounds=N, --json=PATH,
-//        --metrics-json=PATH (obs dump; "-" = stdout). Unknown flags are
-//        ignored. Results land in BENCH_state.json (committed).
+// Flags: --smoke (tiny sizes), --rounds=N and bench/harness.h's common
+// ones. Results land in BENCH_state.json (committed).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "dataplane/nf.h"
-#include "obs/obs.h"
+#include "harness.h"
 
 namespace {
 
@@ -199,22 +196,11 @@ void print_cell(const Cell& c) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::size_t rounds = 3;
-  std::string json_path = "BENCH_state.json";
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--rounds=", 0) == 0) rounds = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
+  bench::Harness h(bench::Runner::kPlain, "BENCH_state.json");
+  h.flag("smoke", smoke, "tiny sizes, no speedup gate");
+  h.flag("rounds", rounds, "measured rounds per cell");
+  if (const int rc = h.parse(argc, argv); rc != 0) return rc;
   if (rounds == 0) rounds = 1;
-
-  if (!metrics_path.empty()) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{1000, 4000}
@@ -243,79 +229,37 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_state: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"scenario\": \"StatefulNat churn: evidence cost, "
-               "incremental vs full recompute\",\n  \"rounds\": %zu,\n"
-               "  \"cells\": [\n",
-               rounds);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"n\": %zu, \"churn\": %.3f, \"dirty_per_round\": %zu, "
-        "\"rounds\": %zu, \"incr_ns\": %.0f, \"full_ns\": %.0f, "
-        "\"speedup\": %.2f, \"root_match\": %s}%s\n",
-        c.n, c.churn, c.dirty_per_round, c.rounds, c.incr_ns, c.full_ns,
-        c.speedup, c.root_match ? "true" : "false",
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"lookup_cells\": [\n");
-  for (std::size_t i = 0; i < lookup_cells.size(); ++i) {
-    const LookupCell& lc = lookup_cells[i];
-    std::fprintf(f,
-                 "    {\"n\": %zu, \"probes\": %zu, \"indexed_ns\": %.1f, "
-                 "\"scan_ns\": %.1f, \"lookup_match\": %s}%s\n",
-                 lc.n, lc.probes, lc.indexed_ns, lc.scan_ns,
-                 lc.match ? "true" : "false",
-                 i + 1 < lookup_cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!metrics_path.empty()) {
-    const std::string json = obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* mf = std::fopen(metrics_path.c_str(), "w");
-      if (mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      }
-    }
-  }
-
-  // Acceptance gates.
-  bool ok = true;
+  bench::Json j;
+  j.field("scenario",
+          "StatefulNat churn: evidence cost, incremental vs full recompute")
+      .field("rounds", rounds).array("cells");
   for (const Cell& c : cells) {
-    if (!c.root_match) {
-      std::printf("GATE: root mismatch at n=%zu churn=%.3f\n", c.n, c.churn);
-      ok = false;
-    }
+    j.object().field("n", c.n).field("churn", c.churn, 3)
+        .field("dirty_per_round", c.dirty_per_round).field("rounds", c.rounds)
+        .field("incr_ns", c.incr_ns, 0).field("full_ns", c.full_ns, 0)
+        .field("speedup", c.speedup, 2).field("root_match", c.root_match).end();
+  }
+  j.end().array("lookup_cells");
+  for (const LookupCell& lc : lookup_cells) {
+    j.object().field("n", lc.n).field("probes", lc.probes)
+        .field("indexed_ns", lc.indexed_ns, 1).field("scan_ns", lc.scan_ns, 1)
+        .field("lookup_match", lc.match).end();
+  }
+  h.write(j);
+
+  for (const Cell& c : cells) {
+    h.gate("digest-identity", c.root_match,
+           "incremental vs full roots at n=%zu churn=%.3f", c.n, c.churn);
   }
   for (const LookupCell& lc : lookup_cells) {
-    if (!lc.match) {
-      std::printf("GATE: lookup differential mismatch at n=%zu\n", lc.n);
-      ok = false;
-    }
+    h.gate("lookup-differential", lc.match, "indexed vs scan at n=%zu", lc.n);
   }
   if (!smoke) {
     for (const Cell& c : cells) {
-      if (c.n == 1000000 && c.churn <= 0.01 && c.speedup < 10.0) {
-        std::printf(
-            "GATE: speedup %.1fx < 10x at n=%zu churn=%.3f\n",
-            c.speedup, c.n, c.churn);
-        ok = false;
-      }
+      if (c.n != 1000000 || c.churn > 0.01) continue;
+      h.gate("incremental-speedup", c.speedup >= 10.0,
+             "%.1fx at n=%zu churn=%.3f, need 10x", c.speedup, c.n, c.churn);
     }
   }
-  std::printf("gates: %s\n", ok ? "pass" : "FAIL");
-  return ok ? 0 : 1;
+  return h.finish();
 }

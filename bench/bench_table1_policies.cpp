@@ -6,8 +6,6 @@
 // cost (and evidence size) of evaluating the bound policy end-to-end.
 #include <benchmark/benchmark.h>
 
-#include "obs_bench_main.h"
-
 #include "copland/parser.h"
 #include "copland/pretty.h"
 #include "copland/semantics.h"
@@ -181,5 +179,3 @@ void BM_Table1_ParseRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_Table1_ParseRoundTrip)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
-
-PERA_BENCH_MAIN();

@@ -32,20 +32,9 @@
 //   * attribution   — with --profile-json, every cell's profiler
 //                     accounted_share must be >= 0.95.
 //
-// Extra flags (stripped before Google Benchmark sees the rest):
-//   --shards=LIST  comma-separated shard counts (e.g. 1,4; default 1,2,4,8)
-//   --packets=N    stream length per cell (default 4096)
-//   --flows=N      distinct 5-tuples in the stream (default 64)
-//   --warmup=N     unrecorded passes per cell before measuring (default 0)
-//   --repeat=N     measured passes per cell; the median run (by wall-clock
-//                  packets/sec) is the one reported (default 1)
-//   --scheme=S     evidence signature scheme: hmac (default) or xmss
-//                  (WOTS chains through the multi-lane SHA-256 engine;
-//                  mind the 2^height per-shard signature budget)
-//   --pin          pin shard/appraiser threads round-robin over the cores
-//   --json=PATH    output path (default BENCH_throughput.json)
-//   --profile-json=PATH  enable the stage profiler and write the
-//                  per-cell per-thread stage attribution JSON
+// Flags (usage in main): --shards, --packets, --flows, --warmup and
+// --repeat (each cell reports its median pass by wall pps), --scheme,
+// --pin, --profile-json, plus bench/harness.h's common ones.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -54,8 +43,8 @@
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "obs/profiler.h"
-#include "obs_bench_main.h"
 #include "pipeline/affinity.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/reassembler.h"
@@ -76,7 +65,6 @@ struct SweepConfig {
   std::size_t repeat = 1;  // measured passes; median reported
   crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
   bool pin = false;
-  std::string json_path = "BENCH_throughput.json";
   std::string profile_path;  // non-empty = profiler on
 };
 
@@ -199,90 +187,19 @@ CellResult run_cell_repeated(std::size_t shards, bool cache, std::size_t batch,
   return runs[runs.size() / 2];
 }
 
-void write_json(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
-  std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_throughput: cannot write %s\n",
-                 cfg.json_path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"packets\": %zu,\n  \"flows\": %zu,\n"
-               "  \"warmup\": %zu,\n  \"repeat\": %zu,\n"
-               "  \"host_cores\": %u,\n"
-               "  \"sha256_backend\": \"%s\",\n"
-               "  \"scheme\": \"%s\",\n  \"cells\": [\n",
-               cfg.packets, cfg.flows, cfg.warmup, cfg.repeat,
-               pipeline::core_count(), crypto::engine::active().name,
-               cfg.scheme == crypto::SignatureScheme::kXmss ? "xmss" : "hmac");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"shards\": %zu, \"cache\": %s, \"batch\": %zu, "
-        "\"sim_packets_per_sec\": %.1f, "
-        "\"sim_latency_p50_ns\": %lld, \"sim_latency_p99_ns\": %lld, "
-        "\"sim_makespan_ns\": %lld, \"wall_packets_per_sec\": %.1f, "
-        "\"processed\": %llu, \"dropped\": %llu, "
-        "\"appraised_flows\": %zu, \"appraised_records\": %llu, "
-        "\"pool_reused\": %llu, \"pool_fresh\": %llu, "
-        "\"summary\": \"%s\"}%s\n",
-        c.shards, c.cache ? "true" : "false", c.batch,
-        c.report.sim_packets_per_sec,
-        static_cast<long long>(c.report.latency_percentile(0.50)),
-        static_cast<long long>(c.report.latency_percentile(0.99)),
-        static_cast<long long>(c.report.makespan), c.wall_pps,
-        static_cast<unsigned long long>(c.report.processed()),
-        static_cast<unsigned long long>(c.report.dropped),
-        c.appraised_flows,
-        static_cast<unsigned long long>(c.appraised_records),
-        static_cast<unsigned long long>(c.report.pool_reused),
-        static_cast<unsigned long long>(c.report.pool_fresh),
-        c.summary_hex.c_str(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-void write_profile_json(const std::vector<CellResult>& cells,
-                        const SweepConfig& cfg) {
-  std::FILE* f = std::fopen(cfg.profile_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_throughput: cannot write %s\n",
-                 cfg.profile_path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(f,
-                 "    {\"shards\": %zu, \"cache\": %s, \"batch\": %zu, "
-                 "\"profile\": %s}%s\n",
-                 c.shards, c.cache ? "true" : "false", c.batch,
-                 c.profile_json.c_str(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-/// The asserted gates. Returns the number of violations (0 = pass).
-int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
-  int violations = 0;
-  std::size_t min_shards = SIZE_MAX, max_shards = 0;
-  for (const CellResult& c : cells) {
-    min_shards = std::min(min_shards, c.shards);
-    max_shards = std::max(max_shards, c.shards);
-  }
-  if (cells.empty()) return 0;
-
+/// The asserted gates, each verdict reported through the harness.
+void check_gates(bench::Harness& h, const std::vector<CellResult>& cells,
+                 const SweepConfig& cfg) {
+  if (cells.empty()) return;
+  const auto [min_it, max_it] =
+      std::ranges::minmax_element(cells, {}, &CellResult::shards);
+  const std::size_t min_shards = min_it->shards, max_shards = max_it->shards;
   const auto find_cell = [&cells](std::size_t shards, bool cache,
                                   std::size_t batch) -> const CellResult* {
-    for (const CellResult& c : cells) {
-      if (c.shards == shards && c.cache == cache && c.batch == batch) {
-        return &c;
-      }
-    }
-    return nullptr;
+    const auto it = std::ranges::find_if(cells, [&](const CellResult& c) {
+      return c.shards == shards && c.cache == cache && c.batch == batch;
+    });
+    return it == cells.end() ? nullptr : &*it;
   };
 
   // Bit-identity: the appraisal summary digest must not depend on the
@@ -290,12 +207,10 @@ int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
   if (min_shards < max_shards) {
     for (const CellResult& c : cells) {
       const CellResult* base = find_cell(min_shards, c.cache, c.batch);
-      if (base == nullptr || base->summary_hex == c.summary_hex) continue;
-      std::fprintf(stderr,
-                   "GATE FAIL [bit-identity]: cache=%d batch=%zu summary "
-                   "differs between %zu and %zu shards\n",
-                   c.cache ? 1 : 0, c.batch, min_shards, c.shards);
-      ++violations;
+      if (base == nullptr || base == &c) continue;
+      h.gate("bit-identity", base->summary_hex == c.summary_hex,
+             "cache=%d batch=%zu summary at %zu vs %zu shards",
+             c.cache ? 1 : 0, c.batch, min_shards, c.shards);
     }
   }
 
@@ -316,23 +231,14 @@ int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
                 ? hi->report.sim_packets_per_sec /
                       lo->report.sim_packets_per_sec
                 : 0.0;
-        if (sim_x < 3.0) {
-          std::fprintf(stderr,
-                       "GATE FAIL [sim-scaling]: cache=%d batch=%zu "
-                       "sim %zux/%zux = %.2fx < 3.0x\n",
-                       cache ? 1 : 0, batch, max_shards, std::size_t{1},
-                       sim_x);
-          ++violations;
-        }
+        h.gate("sim-scaling", sim_x >= 3.0,
+               "cache=%d batch=%zu sim %zux/1x = %.2fx, need 3.0x",
+               cache ? 1 : 0, batch, max_shards, sim_x);
         const double wall_x =
             lo->wall_pps > 0 ? hi->wall_pps / lo->wall_pps : 0.0;
-        if (wall_x < wall_required) {
-          std::fprintf(stderr,
-                       "GATE FAIL [wall-scaling]: cache=%d batch=%zu "
-                       "wall %.2fx < %.2fx (host has %u cores)\n",
-                       cache ? 1 : 0, batch, wall_x, wall_required, cores);
-          ++violations;
-        }
+        h.gate("wall-scaling", wall_x >= wall_required,
+               "cache=%d batch=%zu wall %.2fx, need %.2fx (host has %u cores)",
+               cache ? 1 : 0, batch, wall_x, wall_required, cores);
       }
     }
   }
@@ -341,18 +247,14 @@ int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
   // window (otherwise the profiler is lying about where time goes).
   if (!cfg.profile_path.empty()) {
     for (const CellResult& c : cells) {
-      if (c.accounted_share >= 0.95) continue;
-      std::fprintf(stderr,
-                   "GATE FAIL [attribution]: shards=%zu cache=%d batch=%zu "
-                   "accounted_share %.3f < 0.95\n",
-                   c.shards, c.cache ? 1 : 0, c.batch, c.accounted_share);
-      ++violations;
+      h.gate("attribution", c.accounted_share >= 0.95,
+             "shards=%zu cache=%d batch=%zu accounted_share %.3f, need 0.95",
+             c.shards, c.cache ? 1 : 0, c.batch, c.accounted_share);
     }
   }
-  return violations;
 }
 
-int run_sweep(const SweepConfig& cfg) {
+std::vector<CellResult> run_sweep(const SweepConfig& cfg) {
   const std::vector<dataplane::RawPacket> stream =
       make_stream(cfg.packets, cfg.flows);
   const nac::PolicyHeader hdr = make_policy_header();
@@ -376,19 +278,7 @@ int run_sweep(const SweepConfig& cfg) {
       }
     }
   }
-  write_json(cells, cfg);
-  std::printf("wrote %s\n", cfg.json_path.c_str());
-  if (!cfg.profile_path.empty()) {
-    write_profile_json(cells, cfg);
-    std::printf("wrote %s\n", cfg.profile_path.c_str());
-  }
-  const int violations = check_gates(cells, cfg);
-  if (violations != 0) {
-    std::fprintf(stderr, "bench_throughput: %d gate violation(s)\n",
-                 violations);
-    return 1;
-  }
-  return 0;
+  return cells;
 }
 
 // A Google-Benchmark view of the same cell (wall time per full stream
@@ -409,63 +299,62 @@ void BM_PipelineStream(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineStream)->Arg(1)->Arg(2)->Arg(4);
 
-std::vector<std::size_t> parse_shard_list(const char* v) {
-  std::vector<std::size_t> out;
-  const std::string s = v;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (const long long n = std::atoll(tok.c_str()); n > 0) {
-      out.push_back(static_cast<std::size_t>(n));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   SweepConfig cfg;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const std::string& name) -> const char* {
-      const std::string prefix = name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size() : nullptr;
-    };
-    if (const char* v = value_of("--shards")) {
-      if (std::vector<std::size_t> list = parse_shard_list(v); !list.empty()) {
-        cfg.shard_counts = std::move(list);
-      }
-    } else if (const char* v = value_of("--packets")) {
-      cfg.packets = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--flows")) {
-      cfg.flows = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--warmup")) {
-      cfg.warmup = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--repeat")) {
-      cfg.repeat = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--scheme")) {
-      cfg.scheme = std::string(v) == "xmss"
-                       ? crypto::SignatureScheme::kXmss
-                       : crypto::SignatureScheme::kHmacDeviceKey;
-    } else if (arg == "--pin") {
-      cfg.pin = true;
-    } else if (const char* v = value_of("--json")) {
-      cfg.json_path = v;
-    } else if (const char* v = value_of("--profile-json")) {
-      cfg.profile_path = v;
-    } else {
-      argv[out_argc++] = argv[i];
-    }
-  }
-  argc = out_argc;
+  bench::Harness h(bench::Runner::kGoogleBenchmark, "BENCH_throughput.json");
+  h.flag("shards", cfg.shard_counts, "shard counts (default 1,2,4,8)");
+  h.flag("packets", cfg.packets, "stream length per cell");
+  h.flag("flows", cfg.flows, "distinct 5-tuples in the stream");
+  h.flag("warmup", cfg.warmup, "unrecorded passes per cell");
+  h.flag("repeat", cfg.repeat,
+         "measured passes per cell; the median by wall pps is reported");
+  h.flag(
+      "scheme",
+      [&cfg](std::string_view v) {
+        if (v != "hmac" && v != "xmss") return false;
+        cfg.scheme = v == "xmss" ? crypto::SignatureScheme::kXmss
+                                 : crypto::SignatureScheme::kHmacDeviceKey;
+        return true;
+      },
+      "hmac (default) or xmss (2^height signatures per shard)");
+  h.flag("pin", cfg.pin, "pin shard/appraiser threads over the cores");
+  h.output("profile-json", cfg.profile_path,
+           "enable the stage profiler and write per-cell attribution");
+  if (const int rc = h.parse(argc, argv); rc != 0) return rc;
 
-  const int sweep_rc = run_sweep(cfg);
-  if (sweep_rc != 0) return sweep_rc;
-  return ::pera::obs_bench::run(argc, argv);
+  const std::vector<CellResult> cells = run_sweep(cfg);
+  bench::Json record, profile;
+  record.field("packets", cfg.packets).field("flows", cfg.flows)
+      .field("warmup", cfg.warmup).field("repeat", cfg.repeat)
+      .field("host_cores", pipeline::core_count())
+      .field("sha256_backend", crypto::engine::active().name)
+      .field("scheme", cfg.scheme == crypto::SignatureScheme::kXmss ? "xmss"
+                                                                    : "hmac")
+      .array("cells");
+  profile.array("cells");
+  for (const CellResult& c : cells) {
+    record.object().field("shards", c.shards).field("cache", c.cache)
+        .field("batch", c.batch)
+        .field("sim_packets_per_sec", c.report.sim_packets_per_sec, 1)
+        .field("sim_latency_p50_ns", c.report.latency_percentile(0.50))
+        .field("sim_latency_p99_ns", c.report.latency_percentile(0.99))
+        .field("sim_makespan_ns", c.report.makespan)
+        .field("wall_packets_per_sec", c.wall_pps, 1)
+        .field("processed", c.report.processed())
+        .field("dropped", c.report.dropped)
+        .field("appraised_flows", c.appraised_flows)
+        .field("appraised_records", c.appraised_records)
+        .field("pool_reused", c.report.pool_reused)
+        .field("pool_fresh", c.report.pool_fresh)
+        .field("summary", c.summary_hex).end();
+    profile.object().field("shards", c.shards).field("cache", c.cache)
+        .field("batch", c.batch).raw("profile", c.profile_json).end();
+  }
+  h.write(record);
+  if (!cfg.profile_path.empty()) h.write(profile, cfg.profile_path);
+  check_gates(h, cells, cfg);
+  if (h.gates_passed()) h.run_benchmarks();
+  return h.finish();
 }

@@ -39,9 +39,9 @@ build/fuzz/fuzz_packet_parser -max_total_time=15 -runs=200000 \
   -max_len=1048581 tests/fixtures/fuzz
 
 for b in build/bench/bench_*; do
-  # bench_throughput, bench_crypto, bench_ctrl and bench_state write their
-  # committed JSON records to the cwd; each gets a dedicated smoke below so
-  # the baselines aren't clobbered.
+  # The six binaries with a committed BENCH_*.json record write it to the
+  # cwd by default; each gets a dedicated smoke below with --json pointed
+  # into build/, so the baselines aren't clobbered.
   [ "$(basename "$b")" = "bench_throughput" ] && continue
   [ "$(basename "$b")" = "bench_crypto" ] && continue
   [ "$(basename "$b")" = "bench_ctrl" ] && continue
@@ -136,9 +136,11 @@ build/tools/pera_net --selftest > /dev/null
 # Hierarchical appraisal gates run inside the bench (scale, load bound,
 # flat-appraisal parity; nonzero exit on violation).
 echo "== fleet appraisal bench (smoke) =="
-build/bench/bench_fleet --smoke --json=build/BENCH_fleet.smoke.json > /dev/null
+build/bench/bench_fleet --smoke --json=build/BENCH_fleet.smoke.json \
+  --metrics-json=build/fleet.metrics.json > /dev/null
 grep -q '"gates": "pass"' build/BENCH_fleet.smoke.json
 grep -q '"load_ok": true' build/BENCH_fleet.smoke.json
+grep -q '"fleet.aggregate.received"' build/fleet.metrics.json
 
 echo "== pera_ctl closed-loop scenario (smoke) =="
 build/tools/pera_ctl --seed=42 --loss=0.05 --interval-ms=50 \

@@ -1,5 +1,7 @@
 #include "obs/obs.h"
 
+#include <cstdio>
+
 namespace pera::obs {
 
 namespace {
@@ -59,6 +61,18 @@ void event(SpanKind kind, std::string_view name, netsim::SimTime duration,
 std::string dump_json() {
   return "{\"metrics\":" + globals().metrics.to_json() +
          ",\"trace\":" + globals().trace.to_json() + "}";
+}
+
+bool write_json(const std::string& path) {
+  const std::string json = dump_json() + "\n";
+  if (path == "-") {
+    return std::fwrite(json.data(), 1, json.size(), stdout) == json.size();
+  }
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace pera::obs

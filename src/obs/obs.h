@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -73,6 +74,10 @@ void event(SpanKind kind, std::string_view name, netsim::SimTime duration = 0,
 
 /// Full JSON dump: {"metrics": ..., "trace": ...}.
 [[nodiscard]] std::string dump_json();
+
+/// Write dump_json() and a newline to `path` ("-" = stdout). False when
+/// the file cannot be written.
+[[nodiscard]] bool write_json(const std::string& path);
 
 /// RAII span: records one trace event (and a per-kind counter) when it
 /// goes out of scope, iff observability was enabled at construction.

@@ -139,28 +139,10 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
           if (receipts) {
             // One signing operation amortized over the whole batch.
             result.ra_latency += config_.costs.sign_cost_hmac;
-            PERA_OBS_COUNT("pera.batch.flushes");
-            PERA_OBS_COUNT("pera.batch.items", receipts->size());
-            PERA_OBS_COUNT("pera.sign.count");
             PERA_OBS_OBSERVE("pera.sign.sim_ns", config_.costs.sign_cost_hmac);
             PERA_OBS_EVENT(obs::SpanKind::kSign, name_,
                            config_.costs.sign_cost_hmac, receipts->size());
-            for (std::size_t i = 0; i < pending_oob_.size(); ++i) {
-              const auto& p = pending_oob_[i];
-              const copland::EvidencePtr signed_ev =
-                  copland::Evidence::signature(
-                      name_, p.evidence,
-                      crypto::wrap_batched((*receipts)[i].root,
-                                           (*receipts)[i].proof,
-                                           (*receipts)[i].root_sig));
-              result.out_of_band.push_back(OutOfBandEvidence{
-                  p.to, copland::encode(signed_ev), p.nonce});
-              ++stats_.out_of_band_messages;
-              PERA_OBS_COUNT("pera.oob.messages");
-              PERA_OBS_COUNT("pera.oob.bytes",
-                             result.out_of_band.back().evidence.size());
-            }
-            pending_oob_.clear();
+            emit_batch(*receipts, result.out_of_band);
           }
           continue;
         }
@@ -204,12 +186,17 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
 std::vector<OutOfBandEvidence> PeraSwitch::flush_pending() {
   std::vector<OutOfBandEvidence> out;
   if (!batcher_.has_value() || pending_oob_.empty()) return out;
-  const std::vector<BatchedSignature> receipts = batcher_->flush();
   stats_.ra_time_total += config_.costs.sign_cost_hmac;
+  emit_batch(batcher_->flush(), out);
+  return out;
+}
+
+void PeraSwitch::emit_batch(const std::vector<BatchedSignature>& receipts,
+                            std::vector<OutOfBandEvidence>& out) {
   PERA_OBS_COUNT("pera.batch.flushes");
   PERA_OBS_COUNT("pera.batch.items", receipts.size());
   PERA_OBS_COUNT("pera.sign.count");
-  out.reserve(pending_oob_.size());
+  out.reserve(out.size() + pending_oob_.size());
   for (std::size_t i = 0; i < pending_oob_.size(); ++i) {
     const auto& p = pending_oob_[i];
     const copland::EvidencePtr signed_ev = copland::Evidence::signature(
@@ -223,7 +210,6 @@ std::vector<OutOfBandEvidence> PeraSwitch::flush_pending() {
     PERA_OBS_COUNT("pera.oob.bytes", out.back().evidence.size());
   }
   pending_oob_.clear();
-  return out;
 }
 
 EvidencePtr PeraSwitch::attest_challenge(nac::DetailMask detail,

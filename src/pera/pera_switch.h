@@ -106,6 +106,10 @@ class PeraSwitch {
  private:
   [[nodiscard]] bool sampler_fires(const crypto::Digest& flow_key,
                                    std::uint8_t sampling_log2);
+  /// Wrap every pending item in its batch receipt as signature evidence,
+  /// encode it onto `out` and clear the queue. Callers account the cost.
+  void emit_batch(const std::vector<BatchedSignature>& receipts,
+                  std::vector<OutOfBandEvidence>& out);
 
   std::string name_;
   dataplane::PisaSwitch switch_;

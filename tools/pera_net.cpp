@@ -99,19 +99,12 @@ net::ClientIdentity identity(const Keys& keys, const Options& o) {
   return id;
 }
 
-void dump_metrics(const Options& o) {
-  if (o.metrics_json.empty()) return;
-  const std::string json = obs::dump_json();
-  if (o.metrics_json == "-") {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    std::fputc('\n', stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(o.metrics_json.c_str(), "w");
-  if (f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-  }
+// False when --metrics-json names a file that cannot be written.
+bool dump_metrics(const Options& o) {
+  if (o.metrics_json.empty() || obs::write_json(o.metrics_json)) return true;
+  std::fprintf(stderr, "pera_net: cannot write metrics to %s\n",
+               o.metrics_json.c_str());
+  return false;
 }
 
 int run_serve(const Options& o) {
@@ -138,7 +131,7 @@ int run_serve(const Options& o) {
       std::fprintf(stderr, "pera_net: timed out waiting for %llu rounds\n",
                    static_cast<unsigned long long>(o.exit_after_rounds));
       server.stop();
-      dump_metrics(o);
+      (void)dump_metrics(o);
       return 1;
     }
   } else {
@@ -156,8 +149,7 @@ int run_serve(const Options& o) {
       static_cast<unsigned long long>(st.results_sent),
       static_cast<unsigned long long>(st.challenges_relayed),
       static_cast<unsigned long long>(st.protocol_errors));
-  dump_metrics(o);
-  return 0;
+  return dump_metrics(o) ? 0 : 1;
 }
 
 int run_switch(const Options& o) {
@@ -186,8 +178,7 @@ int run_switch(const Options& o) {
     all_true = all_true && cert->verdict && sig_ok;
   }
   client.close();
-  dump_metrics(o);
-  return all_true ? 0 : 1;
+  return dump_metrics(o) && all_true ? 0 : 1;
 }
 
 int run_selftest(const Options& o) {
@@ -220,9 +211,8 @@ int run_selftest(const Options& o) {
          intruder.reject_reason() == net::RejectReason::kBadQuote;
   }
   server.stop();
-  dump_metrics(o);
   std::printf("pera_net selftest: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  return dump_metrics(o) && ok ? 0 : 1;
 }
 
 }  // namespace
