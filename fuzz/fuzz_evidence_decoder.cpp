@@ -6,12 +6,22 @@
 // std::invalid_argument — never another exception, a crash, a hang, or an
 // out-of-bounds read.
 //
+// Differential: copland::appraise's walk over the bytes must agree with
+// decode() plus the reference tree walk (tests/reference_appraisal.h) on
+// the verdict, the finding kinds, the counts and the content digest, and
+// must report kMalformed exactly when decode() throws. Both appraise under
+// the reference's fixed HMAC/XMSS keys, goldens and nonce; a disagreement
+// aborts.
+//
 // Built by -DPERA_FUZZ=ON: with libFuzzer under clang, or with the
 // standalone replay/mutation driver (standalone_driver.cpp) elsewhere.
 // Seed corpus: tests/fixtures/fuzz/*.bin (genuine serialized messages,
-// plus evidence_deep_seq.bin: 100 KB of nested seq tags).
+// plus evidence_deep_seq.bin: 100 KB of nested seq tags, and
+// evidence_batched.bin: a Merkle-batched record signed by the reference's
+// sw2 key).
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "copland/evidence.h"
@@ -21,6 +31,7 @@
 #include "crypto/signer.h"
 #include "nac/header.h"
 #include "ra/endorsement.h"
+#include "reference_appraisal.h"
 
 namespace {
 
@@ -48,5 +59,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   decode_or_reject([&] { return crypto::Signature::deserialize(view); });
   decode_or_reject([&] { return crypto::MerkleProof::deserialize(view); });
   decode_or_reject([&] { return crypto::XmssSignature::deserialize(view); });
+
+  static reference::AppraisalSetup setup;
+  const copland::AppraisalResult walk =
+      copland::appraise(view, &setup.goldens, setup.keys, setup.nonce);
+  const copland::AppraisalResult ref =
+      reference::appraise(view, &setup.goldens, setup.keys, setup.nonce);
+  if (!reference::difference(walk, ref).empty()) std::abort();
   return 0;
 }

@@ -224,68 +224,168 @@ std::string to_string(AppraisalFinding::Kind k) {
   return "?";
 }
 
-AppraisalResult appraise(const EvidencePtr& evidence,
-                         const std::map<ComponentId, Digest>* goldens,
-                         const crypto::VerifierLookup& keys,
-                         const crypto::Nonce& round_nonce) {
-  AppraisalResult res;
-  res.evidence = evidence;
-  bool nonce_seen = false;
-  // The one walk: signatures, goldens and the round nonce, pre-order.
-  const auto visit = [&](const auto& self, const EvidencePtr& e) -> void {
-    if (!e) return;
-    if (e->kind == EvidenceKind::kMeasurement && goldens != nullptr) {
-      ++res.measurements_checked;
-      const auto it = goldens->find(ComponentId{e->place, e->target});
-      if (it == goldens->end()) {
-        res.add({AppraisalFinding::Kind::kUnknownComponent, e->place,
-                 "no golden value for " + e->target});
-      } else if (it->second != e->value) {
-        res.add({AppraisalFinding::Kind::kBadMeasurement, e->place,
-                 e->target + " measured " + e->value.short_hex() +
-                     ", golden " + it->second.short_hex()});
-      }
-    } else if (e->kind == EvidenceKind::kNonce) {
-      nonce_seen = nonce_seen || e->nonce == round_nonce;
-    } else if (e->kind == EvidenceKind::kSignature) {
-      // Pre-order: the first signature is the top node, if that is signed.
-      const Digest content = digest(e->child);
-      if (res.signatures_checked++ == 0) res.content_digest = content;
-      const crypto::Verifier* v = keys.verifier_by_key_id(e->sig.key_id);
-      if (v == nullptr) {
-        res.add({AppraisalFinding::Kind::kUnknownSigner, e->place,
-                 "key id " + e->sig.key_id.short_hex()});
-      } else if (!crypto::verify_any(*v, content, e->sig)) {
-        res.add({AppraisalFinding::Kind::kBadSignature, e->place,
-                 "signature by " + e->place + " does not verify"});
-      }
-    }
-    self(self, e->child);
-    self(self, e->left);
-    self(self, e->right);
-  };
-  visit(visit, evidence);
-  if (!round_nonce.value.is_zero() && !nonce_seen) {
-    res.add({AppraisalFinding::Kind::kMissingNonce, "",
-             "expected nonce " + round_nonce.value.short_hex()});
-  }
-  if (evidence && evidence->kind != EvidenceKind::kSignature) {
-    res.content_digest = digest(evidence);
-  }
-  return res;
-}
+namespace {
 
-AppraisalResult appraise(crypto::BytesView evidence,
-                         const std::map<ComponentId, Digest>* goldens,
-                         const crypto::VerifierLookup& keys,
-                         const crypto::Nonce& round_nonce) {
+// The appraisal walk: one bounded pass over the encoding, in pre-order,
+// reading exactly what decode() reads and failing exactly where it fails.
+class AppraisalWalk {
+ public:
+  AppraisalWalk(crypto::BytesView input, const Goldens* goldens,
+                const crypto::VerifierLookup& keys,
+                const crypto::Nonce& round_nonce, std::size_t max_depth)
+      : input_(input),
+        r_(input, "evidence decode"),
+        goldens_(goldens),
+        keys_(keys),
+        round_nonce_(round_nonce),
+        max_depth_(max_depth) {}
+
+  AppraisalResult run() {
+    node(1);
+    r_.finish();
+    if (!round_nonce_.value.is_zero() && !nonce_seen_) {
+      res_.add({AppraisalFinding::Kind::kMissingNonce, "",
+                "expected nonce " + round_nonce_.value.short_hex()});
+    }
+    // Unsigned at the top: the content is the whole term.
+    if (static_cast<EvidenceKind>(input_[0]) != EvidenceKind::kSignature) {
+      res_.content_digest = crypto::sha256(input_);
+    }
+    res_.decoded = true;
+    return std::move(res_);
+  }
+
+ private:
+  // `depth` counts the nodes on the path from the root to this one.
+  void node(std::size_t depth) {
+    if (depth > max_depth_) r_.fail("nesting exceeds depth budget");
+    const auto kind = static_cast<EvidenceKind>(r_.u8());
+    switch (kind) {
+      case EvidenceKind::kEmpty:
+        return;
+      case EvidenceKind::kMeasurement: {
+        (void)str();  // asp
+        const std::string_view place = str();
+        const std::string_view target = str();
+        const Digest value = r_.digest();
+        (void)str();  // claim
+        if (goldens_ != nullptr) measurement(place, target, value);
+        return;
+      }
+      case EvidenceKind::kNonce:
+        nonce_seen_ = r_.digest() == round_nonce_.value || nonce_seen_;
+        return;
+      case EvidenceKind::kSignature: {
+        const std::string_view place = str();
+        const crypto::Signature sig = crypto::Signature::deserialize(r_.blob());
+        // Pre-order: count it, and hold its finding's place, before the
+        // child's findings.
+        const bool top = res_.signatures_checked++ == 0;
+        const std::size_t finding_at = res_.findings.size();
+        const std::size_t begin = offset();
+        node(depth + 1);
+        const Digest content =
+            crypto::sha256(input_.subspan(begin, offset() - begin));
+        if (top) res_.content_digest = content;
+        signature(place, sig, content, finding_at);
+        return;
+      }
+      case EvidenceKind::kHashed:
+        (void)str();
+        (void)r_.digest();
+        return;
+      case EvidenceKind::kSeq:
+      case EvidenceKind::kPar:
+        node(depth + 1);
+        node(depth + 1);
+        return;
+      case EvidenceKind::kFuncOut:
+        (void)str();  // func
+        (void)str();  // place
+        (void)r_.blob();
+        node(depth + 1);
+        return;
+    }
+    r_.fail("unknown kind byte");
+  }
+
+  void measurement(std::string_view place, std::string_view target,
+                   const Digest& value) {
+    ++res_.measurements_checked;
+    const auto it = goldens_->find(ComponentLess::View{place, target});
+    if (it == goldens_->end()) {
+      res_.add({AppraisalFinding::Kind::kUnknownComponent, std::string(place),
+                "no golden value for " + std::string(target)});
+    } else if (it->second != value) {
+      res_.add({AppraisalFinding::Kind::kBadMeasurement, std::string(place),
+                std::string(target) + " measured " + value.short_hex() +
+                    ", golden " + it->second.short_hex()});
+    }
+  }
+
+  void signature(std::string_view place, const crypto::Signature& sig,
+                 const Digest& content, std::size_t finding_at) {
+    const crypto::Verifier* v = keys_.verifier_by_key_id(sig.key_id);
+    AppraisalFinding f;
+    if (v == nullptr) {
+      f = {AppraisalFinding::Kind::kUnknownSigner, std::string(place),
+           "key id " + sig.key_id.short_hex()};
+    } else if (!crypto::verify_any(*v, content, sig)) {
+      f = {AppraisalFinding::Kind::kBadSignature, std::string(place),
+           "signature by " + std::string(place) + " does not verify"};
+    } else {
+      return;
+    }
+    res_.ok = false;
+    res_.findings.insert(
+        res_.findings.begin() + static_cast<std::ptrdiff_t>(finding_at),
+        std::move(f));
+  }
+
+  std::string_view str() {
+    const crypto::BytesView b = r_.blob();
+    return {reinterpret_cast<const char*>(b.data()), b.size()};
+  }
+
+  std::size_t offset() const { return input_.size() - r_.remaining(); }
+
+  crypto::BytesView input_;
+  crypto::ByteReader r_;
+  const Goldens* goldens_;
+  const crypto::VerifierLookup& keys_;
+  const crypto::Nonce& round_nonce_;
+  std::size_t max_depth_;
+  AppraisalResult res_;
+  bool nonce_seen_ = false;
+};
+
+AppraisalResult walk(crypto::BytesView evidence, const Goldens* goldens,
+                     const crypto::VerifierLookup& keys,
+                     const crypto::Nonce& round_nonce, std::size_t max_depth) {
   try {
-    return appraise(decode(evidence), goldens, keys, round_nonce);
+    return AppraisalWalk(evidence, goldens, keys, round_nonce, max_depth)
+        .run();
   } catch (const std::invalid_argument& e) {
     AppraisalResult res;
     res.add({AppraisalFinding::Kind::kMalformed, "", e.what()});
     return res;
   }
+}
+
+}  // namespace
+
+AppraisalResult appraise(crypto::BytesView evidence, const Goldens* goldens,
+                         const crypto::VerifierLookup& keys,
+                         const crypto::Nonce& round_nonce) {
+  return walk(evidence, goldens, keys, round_nonce, kMaxEvidenceDepth);
+}
+
+AppraisalResult appraise(const EvidencePtr& evidence, const Goldens* goldens,
+                         const crypto::VerifierLookup& keys,
+                         const crypto::Nonce& round_nonce) {
+  if (!evidence) return appraise(crypto::BytesView{}, goldens, keys, round_nonce);
+  const crypto::Bytes bytes = encode(evidence);
+  return walk(bytes, goldens, keys, round_nonce, static_cast<std::size_t>(-1));
 }
 
 }  // namespace pera::copland

@@ -12,6 +12,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "copland/semantics.h"
 #include "crypto/keystore.h"
@@ -21,6 +23,17 @@ namespace pera::copland {
 
 /// Key for components and golden values: (place, component name).
 using ComponentId = std::pair<std::string, std::string>;
+
+/// Orders ComponentIds, and (place, target) views against them, so the
+/// appraisal walk looks goldens up without building strings.
+struct ComponentLess {
+  using is_transparent = void;
+  using View = std::pair<std::string_view, std::string_view>;
+  bool operator()(View a, View b) const { return a < b; }
+};
+
+/// Golden values by component.
+using Goldens = std::map<ComponentId, crypto::Digest, ComponentLess>;
 
 /// Handler signature for named Copland functions (appraise, certify, ...).
 using FuncHandler = std::function<EvidencePtr(
@@ -54,7 +67,7 @@ class TestbedPlatform final : public Platform {
       const std::string& place, const std::string& name) const;
 
   /// All golden values (for appraisal).
-  [[nodiscard]] const std::map<ComponentId, crypto::Digest>& goldens() const {
+  [[nodiscard]] const Goldens& goldens() const {
     return golden_;
   }
 
@@ -94,7 +107,7 @@ class TestbedPlatform final : public Platform {
   crypto::KeyStore& keys_;
   std::map<ComponentId, std::string> content_;
   std::map<ComponentId, std::string> shadow_content_;  // pristine copies
-  std::map<ComponentId, crypto::Digest> golden_;
+  Goldens golden_;
   std::map<ComponentId, bool> tests_;
   std::map<std::string, FuncHandler> funcs_;
   std::map<crypto::Digest, EvidencePtr> store_;
@@ -123,7 +136,7 @@ struct AppraisalResult {
   std::vector<AppraisalFinding> findings;
   std::size_t measurements_checked = 0;
   std::size_t signatures_checked = 0;
-  EvidencePtr evidence;  // the evidence appraised; null if it did not decode
+  bool decoded = false;  // the evidence decoded (no kMalformed finding)
   /// copland::digest of the evidence under the top signature (the whole
   /// term when unsigned).
   crypto::Digest content_digest{};
@@ -135,19 +148,22 @@ struct AppraisalResult {
 };
 
 /// The appraisal core, the one verdict function on every path. One walk
-/// checks that every signature verifies under a key `keys` resolves by
-/// key id, that measurements match `goldens` when the caller holds them
-/// (non-null), and that the evidence contains `round_nonce` if nonzero.
+/// over the canonical encoding checks that every signature verifies under
+/// a key `keys` resolves by key id, that measurements match `goldens` when
+/// the caller holds them (non-null), and that the evidence contains
+/// `round_nonce` if nonzero. It builds no tree: a signature's child is one
+/// contiguous span of the pre-order encoding, and since the codec is
+/// canonical that span is the child's encoding, so it is hashed in place.
+/// Bytes that decode() would reject fail with a single kMalformed finding
+/// instead of throwing.
 [[nodiscard]] AppraisalResult appraise(
-    const EvidencePtr& evidence,
-    const std::map<ComponentId, crypto::Digest>* goldens,
+    crypto::BytesView evidence, const Goldens* goldens,
     const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {});
 
-/// The same over the canonical encoding; bytes that do not decode fail
-/// with a kMalformed finding instead of throwing.
+/// The same over a tree: encodes it once and walks the bytes (with no
+/// depth budget, as the tree is already in memory).
 [[nodiscard]] AppraisalResult appraise(
-    crypto::BytesView evidence,
-    const std::map<ComponentId, crypto::Digest>* goldens,
+    const EvidencePtr& evidence, const Goldens* goldens,
     const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {});
 
 [[nodiscard]] std::string to_string(AppraisalFinding::Kind k);

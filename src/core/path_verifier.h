@@ -42,7 +42,7 @@ struct PathVerdict {
 
 class PathVerifier {
  public:
-  PathVerifier(const std::map<copland::ComponentId, crypto::Digest>& goldens,
+  PathVerifier(const copland::Goldens& goldens,
                const crypto::KeyStore& keys)
       : goldens_(&goldens), keys_(&keys) {}
 
@@ -61,7 +61,7 @@ class PathVerifier {
       const std::vector<std::string>& expected_places);
 
  private:
-  const std::map<copland::ComponentId, crypto::Digest>* goldens_;
+  const copland::Goldens* goldens_;
   const crypto::KeyStore* keys_;
 };
 

@@ -1,7 +1,9 @@
 #include "dataplane/action.h"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "dataplane/parser.h"
 #include "dataplane/registers.h"
 
 namespace pera::dataplane {
@@ -18,22 +20,77 @@ std::uint64_t Operand::resolve(const std::vector<std::uint64_t>& params) const {
 void ActionDef::execute(ParsedPacket& pkt,
                         const std::vector<std::uint64_t>& params,
                         RegisterFile* regs) const {
-  if (params.size() < param_count) {
-    throw std::runtime_error("action '" + name + "' expects " +
-                             std::to_string(param_count) + " params, got " +
+  BoundAction(*this, pkt).execute(pkt, params, regs);
+}
+
+BoundAction::BoundAction(const ActionDef& def, const ParserProgram& parser)
+    : BoundAction(def, [&parser](const FieldRef& ref) {
+        return parser.resolve(ref);
+      }) {}
+
+BoundAction::BoundAction(const ActionDef& def, const ParsedPacket& pkt)
+    : BoundAction(def, [&pkt](const FieldRef& ref) {
+        const HeaderInstance* h = pkt.find(ref.header);
+        return resolve_field(ref, h != nullptr ? h->spec : nullptr);
+      }) {}
+
+BoundAction::BoundAction(
+    const ActionDef& def,
+    const std::function<FieldSlot(const FieldRef&)>& resolve)
+    : def_(&def), min_params_(def.param_count) {
+  dst_.reserve(def.ops.size());
+  src_.reserve(def.ops.size());
+  const auto need = [this](const Operand& o) {
+    if (o.is_param) min_params_ = std::max(min_params_, o.param_index + 1);
+  };
+  for (const Op& op : def.ops) {
+    const bool writes = op.kind == OpKind::kSetField ||
+                        op.kind == OpKind::kCopyField ||
+                        op.kind == OpKind::kAddToField;
+    dst_.push_back(writes ? resolve(op.dst) : FieldSlot{});
+    src_.push_back(op.kind == OpKind::kCopyField ? resolve(op.src)
+                                                 : FieldSlot{});
+    need(op.a);
+    if (op.kind == OpKind::kRegWrite) need(op.b);
+  }
+}
+
+void BoundAction::execute(ParsedPacket& pkt,
+                          const std::vector<std::uint64_t>& params,
+                          RegisterFile* regs) const {
+  const ActionDef& def = *def_;
+  if (params.size() < def.param_count) {
+    throw std::runtime_error("action '" + def.name + "' expects " +
+                             std::to_string(def.param_count) + " params, got " +
                              std::to_string(params.size()));
   }
-  for (const Op& op : ops) {
+  const auto absent = [](const FieldRef& ref) {
+    return std::out_of_range("header '" + ref.header + "' not present");
+  };
+  const auto need_regs = [&] {
+    if (regs == nullptr) {
+      throw std::runtime_error("action '" + def.name +
+                               "' uses registers but none provided");
+    }
+  };
+  for (std::size_t i = 0; i < def.ops.size(); ++i) {
+    const Op& op = def.ops[i];
     switch (op.kind) {
       case OpKind::kSetField:
-        pkt.set(op.dst, op.a.resolve(params));
+        if (!pkt.write(dst_[i], op.a.resolve(params))) throw absent(op.dst);
         break;
-      case OpKind::kCopyField:
-        pkt.set(op.dst, pkt.get(op.src));
+      case OpKind::kCopyField: {
+        const auto v = pkt.read(src_[i]);
+        if (!v) throw absent(op.src);
+        if (!pkt.write(dst_[i], *v)) throw absent(op.dst);
         break;
-      case OpKind::kAddToField:
-        pkt.set(op.dst, pkt.get(op.dst) + op.a.resolve(params));
+      }
+      case OpKind::kAddToField: {
+        const auto v = pkt.read(dst_[i]);
+        if (!v) throw absent(op.dst);
+        (void)pkt.write(dst_[i], *v + op.a.resolve(params));
         break;
+      }
       case OpKind::kSetEgressPort:
         pkt.meta.egress_port =
             static_cast<std::uint32_t>(op.a.resolve(params));
@@ -48,24 +105,16 @@ void ActionDef::execute(ParsedPacket& pkt,
           pkt.meta.user1 = op.a.resolve(params);
         }
         break;
-      case OpKind::kRegWrite: {
-        if (regs == nullptr) {
-          throw std::runtime_error("action '" + name +
-                                   "' uses registers but none provided");
-        }
+      case OpKind::kRegWrite:
+        need_regs();
         regs->write(op.reg, static_cast<std::size_t>(op.a.resolve(params)),
                     op.b.resolve(params));
         break;
-      }
-      case OpKind::kRegReadToMeta: {
-        if (regs == nullptr) {
-          throw std::runtime_error("action '" + name +
-                                   "' uses registers but none provided");
-        }
+      case OpKind::kRegReadToMeta:
+        need_regs();
         pkt.meta.user0 =
             regs->read(op.reg, static_cast<std::size_t>(op.a.resolve(params)));
         break;
-      }
       case OpKind::kNoop:
         break;
     }

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 
 namespace pera::dataplane {
 
+class ParserProgram;
 class RegisterFile;
 
 /// Primitive operation kinds.
@@ -56,14 +59,50 @@ struct ActionDef {
   std::size_t param_count = 0;
   std::vector<Op> ops;
 
-  /// Execute on a packet. `regs` may be null when the action uses no
-  /// register ops. Throws std::runtime_error on parameter/register misuse.
+  /// Execute on a packet: resolve the field references against the packet,
+  /// then run as BoundAction::execute does.
   void execute(ParsedPacket& pkt, const std::vector<std::uint64_t>& params,
                RegisterFile* regs) const;
 
   /// Canonical encoding for program attestation.
   [[nodiscard]] crypto::Bytes encode() const;
 };
+
+/// An action with every field reference resolved to a FieldSlot: what the
+/// pipeline runs per packet. Holds `def` by address.
+class BoundAction {
+ public:
+  /// Resolve against `parser`'s schema (program build time); execute then
+  /// takes packets that parser produced. Throws like resolve_field.
+  BoundAction(const ActionDef& def, const ParserProgram& parser);
+  /// Resolve against the headers `pkt` carries.
+  BoundAction(const ActionDef& def, const ParsedPacket& pkt);
+
+  [[nodiscard]] const ActionDef& def() const { return *def_; }
+
+  /// Parameters an entry must bind: the declared count, or more when an
+  /// op reads a parameter past it.
+  [[nodiscard]] std::size_t min_params() const { return min_params_; }
+
+  /// Execute on a packet. `regs` may be null when the action uses no
+  /// register ops. Throws std::runtime_error on parameter/register misuse
+  /// and std::out_of_range on a field of an absent header.
+  void execute(ParsedPacket& pkt, const std::vector<std::uint64_t>& params,
+               RegisterFile* regs) const;
+
+ private:
+  BoundAction(const ActionDef& def,
+              const std::function<FieldSlot(const FieldRef&)>& resolve);
+
+  const ActionDef* def_;
+  std::vector<FieldSlot> dst_;  // parallel to def_->ops
+  std::vector<FieldSlot> src_;
+  std::size_t min_params_ = 0;
+};
+
+/// A program's actions by name, resolved; std::less<> allows lookups by
+/// string_view.
+using ActionTable = std::map<std::string, BoundAction, std::less<>>;
 
 /// Common actions.
 namespace stdaction {

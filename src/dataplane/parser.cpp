@@ -1,64 +1,150 @@
 #include "dataplane/parser.h"
 
+#include <atomic>
+#include <iterator>
 #include <stdexcept>
 
 namespace pera::dataplane {
 
-void ParserProgram::add_state(ParserState state) {
-  states_[state.name] = std::move(state);
+ParserProgram::Id::Id() {
+  static std::atomic<std::uint64_t> next{1};
+  value = next.fetch_add(1, std::memory_order_relaxed);
 }
 
-ParsedPacket ParserProgram::parse(const RawPacket& raw) const {
-  static const std::string kStart = "start";
-  ParsedPacket pkt;
-  pkt.meta.ingress_port = raw.port;
-  pkt.headers().reserve(schema_.size());
+ParserProgram::ParserProgram(std::map<std::string, HeaderSpec> schema)
+    : schema_(std::move(schema)) {
+  formats_.reserve(schema_.size());
+  for (const auto& [name, spec] : schema_) {
+    formats_.emplace_back(spec);
+    max_values_ += spec.fields.size();
+  }
+  resolve_graph();
+}
 
-  const std::string* state_name = &kStart;
-  std::size_t offset = 0;
-  std::size_t steps = 0;
+void ParserProgram::add_state(ParserState state) {
+  states_[state.name] = std::move(state);
+  resolve_graph();
+}
 
-  while (*state_name != "accept") {
-    if (++steps > 64) {
-      throw std::runtime_error("parser: too many states (loop in parse graph?)");
-    }
-    const auto sit = states_.find(*state_name);
+FieldSlot ParserProgram::resolve(const FieldRef& ref) const {
+  const auto it = schema_.find(ref.header);
+  if (it == schema_.end()) return resolve_field(ref, nullptr);
+  const auto index = static_cast<std::size_t>(
+      std::distance(schema_.begin(), it));
+  return resolve_field(ref, &formats_[index].spec());
+}
+
+void ParserProgram::resolve_graph() {
+  // Number every state name: "start" first, then the declared states, then
+  // targets nobody declared (they fail when reached).
+  std::map<std::string, int> index{{"start", 0}};
+  std::vector<std::string> names{"start"};
+  const auto number = [&](const std::string& name) {
+    if (name == "accept") return kAccept;
+    const auto [it, fresh] =
+        index.emplace(name, static_cast<int>(names.size()));
+    if (fresh) names.push_back(name);
+    return it->second;
+  };
+  for (const auto& [name, st] : states_) (void)number(name);
+
+  std::vector<Node> nodes;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    Node node;
+    const auto sit = states_.find(names[i]);
     if (sit == states_.end()) {
-      throw std::runtime_error("parser: unknown state '" + *state_name + "'");
+      node.error = "parser: unknown state '" + names[i] + "'";
+      nodes.push_back(std::move(node));
+      continue;
     }
     const ParserState& st = sit->second;
-
-    const HeaderInstance* extracted = nullptr;
+    const HeaderSpec* spec = nullptr;
     if (!st.header.empty()) {
       const auto hit = schema_.find(st.header);
       if (hit == schema_.end()) {
-        throw std::runtime_error("parser: unknown header '" + st.header + "'");
+        node.error = "parser: unknown header '" + st.header + "'";
+      } else {
+        node.format = static_cast<int>(std::distance(schema_.begin(), hit));
+        spec = &hit->second;
       }
-      const HeaderSpec& spec = hit->second;
-      const BytesView rest{raw.data.data() + offset, raw.data.size() - offset};
-      HeaderInstance& h = pkt.add_header(spec);
-      unpack_header(spec, rest, h.values.data());
-      offset += spec.byte_width();
+    }
+    if (st.select) {
+      if (st.header.empty()) {
+        node.error = "parser: select in state '" + st.name +
+                     "' without an extracted header";
+      } else if (spec != nullptr) {
+        node.select_field = spec->field_index(st.select->field);
+        if (node.select_field < 0) {
+          node.error = "parser: no field '" + st.select->field +
+                       "' in header " + spec->name;
+        }
+      }
+      for (const auto& [value, next] : st.select->cases) {
+        node.cases.emplace_back(value, number(next));
+      }
+      node.next = number(st.select->default_next);
+    } else {
+      node.next = number(st.next);
+    }
+    nodes.push_back(std::move(node));
+  }
+  nodes_ = std::move(nodes);
+}
+
+ParsedPacket ParserProgram::parse(const RawPacket& raw) const {
+  ParsedPacket pkt;
+  parse(raw, pkt);
+  return pkt;
+}
+
+void ParserProgram::parse(const RawPacket& raw, ParsedPacket& pkt) const {
+  pkt.meta = Metadata{};
+  pkt.meta.ingress_port = raw.port;
+  pkt.parser_ = this;
+  pkt.headers_.clear();
+  pkt.values_.clear();
+  pkt.headers_.reserve(formats_.size());
+  pkt.values_.reserve(max_values_);
+  if (nodes_.empty()) throw std::runtime_error("parser: moved-from program");
+
+  std::size_t offset = 0;
+  std::size_t steps = 0;
+  for (int s = 0; s != kAccept;) {
+    if (++steps > 64) {
+      throw std::runtime_error("parser: too many states (loop in parse graph?)");
+    }
+    const Node& node = nodes_[static_cast<std::size_t>(s)];
+    if (!node.error.empty()) throw std::runtime_error(node.error);
+
+    const HeaderInstance* extracted = nullptr;
+    if (node.format >= 0) {
+      const HeaderFormat& format =
+          formats_[static_cast<std::size_t>(node.format)];
+      if (raw.data.size() - offset < format.byte_width()) {
+        throw std::invalid_argument(
+            "unpack_header: buffer shorter than header " + format.spec().name);
+      }
+      HeaderInstance& h = pkt.add_instance(format.spec(), &format);
+      format.unpack(raw.data.data() + offset, h.values.data());
+      offset += format.byte_width();
       extracted = &h;
     }
 
-    if (st.select) {
-      if (extracted == nullptr) {
-        throw std::runtime_error("parser: select in state '" + st.name +
-                                 "' without an extracted header");
+    s = node.next;
+    if (node.select_field >= 0) {
+      const std::uint64_t v =
+          extracted->values[static_cast<std::size_t>(node.select_field)];
+      for (const auto& [value, target] : node.cases) {
+        if (value == v) {
+          s = target;
+          break;
+        }
       }
-      const std::uint64_t v = extracted->get(st.select->field);
-      const auto cit = st.select->cases.find(v);
-      state_name = cit == st.select->cases.end() ? &st.select->default_next
-                                                 : &cit->second;
-    } else {
-      state_name = &st.next;
     }
   }
 
   pkt.payload.assign(raw.data.begin() + static_cast<std::ptrdiff_t>(offset),
                      raw.data.end());
-  return pkt;
 }
 
 crypto::Bytes ParserProgram::encode() const {

@@ -5,7 +5,11 @@
 namespace pera::dataplane {
 
 void DataplaneProgram::add_action(ActionDef action) {
-  actions_[action.name] = std::move(action);
+  const std::string name = action.name;
+  ActionDef& def = actions_[name];
+  def = std::move(action);
+  bound_actions_.insert_or_assign(name, BoundAction(def, parser_));
+  for (auto& t : tables_) t->bind_actions(&bound_actions_);
 }
 
 const ActionDef* DataplaneProgram::action(const std::string& name) const {
@@ -15,7 +19,10 @@ const ActionDef* DataplaneProgram::action(const std::string& name) const {
 
 Table& DataplaneProgram::add_table(std::string name,
                                    std::vector<KeySpec> keys) {
-  tables_.push_back(std::make_unique<Table>(std::move(name), std::move(keys)));
+  auto table = std::make_unique<Table>(std::move(name), std::move(keys));
+  table->bind_keys(parser_);
+  table->bind_actions(&bound_actions_);
+  tables_.push_back(std::move(table));
   return *tables_.back();
 }
 
@@ -24,6 +31,38 @@ Table* DataplaneProgram::table(const std::string& name) {
     if (t->name() == name) return t.get();
   }
   return nullptr;
+}
+
+const Table* DataplaneProgram::table(const std::string& name) const {
+  for (const auto& t : tables_) {
+    if (t->name() == name) return t.get();
+  }
+  return nullptr;
+}
+
+void DataplaneProgram::check_entry(const std::string& table,
+                                   const TableEntry& entry) const {
+  const Table* t = this->table(table);
+  if (t == nullptr) {
+    throw std::invalid_argument("no table '" + table + "' in " + name_);
+  }
+  if (entry.keys.size() != t->keys().size()) {
+    throw std::invalid_argument(
+        "table '" + table + "': entry has " +
+        std::to_string(entry.keys.size()) + " keys, table expects " +
+        std::to_string(t->keys().size()));
+  }
+  const auto it = bound_actions_.find(entry.action);
+  if (it == bound_actions_.end()) {
+    throw std::invalid_argument("table '" + table + "': no action '" +
+                                entry.action + "' in " + name_);
+  }
+  if (entry.action_params.size() < it->second.min_params()) {
+    throw std::invalid_argument(
+        "table '" + table + "': action '" + entry.action + "' reads " +
+        std::to_string(it->second.min_params()) + " params, entry binds " +
+        std::to_string(entry.action_params.size()));
+  }
 }
 
 void DataplaneProgram::declare_register(const std::string& name,
@@ -116,11 +155,16 @@ void PisaSwitch::load_program(std::shared_ptr<DataplaneProgram> program) {
 }
 
 ParsedPacket PisaSwitch::parse(const RawPacket& raw) {
+  ParsedPacket pkt;
+  parse(raw, pkt);
+  return pkt;
+}
+
+void PisaSwitch::parse(const RawPacket& raw, ParsedPacket& into) {
   ++stats_.packets_in;
   try {
-    ParsedPacket pkt = program_->parser().parse(raw);
-    pkt.meta.packet_id = next_packet_id_++;
-    return pkt;
+    program_->parser().parse(raw, into);
+    into.meta.packet_id = next_packet_id_++;
   } catch (const std::exception&) {
     ++stats_.parse_errors;
     throw;
@@ -128,28 +172,25 @@ ParsedPacket PisaSwitch::parse(const RawPacket& raw) {
 }
 
 void PisaSwitch::run_pipeline(ParsedPacket& pkt) {
+  // Bound actions read the slots of this program's parser; a packet parsed
+  // elsewhere has its names resolved per action run instead.
+  const bool own_parser = pkt.parser() == &program_->parser();
   for (const auto& t : program_->tables()) {
     if (pkt.meta.drop) return;
     ++stats_.table_lookups;
-    const TableEntry* entry = t->lookup(pkt);
-    const std::string* action_name = nullptr;
-    const std::vector<std::uint64_t>* params = nullptr;
-    if (entry != nullptr) {
-      ++stats_.table_hits;
-      action_name = &entry->action;
-      params = &entry->action_params;
-    } else if (!t->default_action().empty()) {
-      action_name = &t->default_action();
-      params = &t->default_params();
-    }
-    if (action_name == nullptr) continue;
-    const ActionDef* action = program_->action(*action_name);
-    if (action == nullptr) {
+    const Table::Selection sel = t->select(pkt);
+    if (sel.entry != nullptr) ++stats_.table_hits;
+    if (sel.action == nullptr) continue;
+    if (sel.bound == nullptr) {
       throw std::runtime_error("table '" + t->name() +
-                               "' references unknown action '" + *action_name +
+                               "' references unknown action '" + *sel.action +
                                "'");
     }
-    action->execute(pkt, *params, &regs_);
+    if (own_parser) {
+      sel.bound->execute(pkt, *sel.params, &regs_);
+    } else {
+      sel.bound->def().execute(pkt, *sel.params, &regs_);
+    }
   }
 }
 

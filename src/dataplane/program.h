@@ -8,6 +8,12 @@
 //   tables_digest()   — Merkle root over table *contents*
 //                       (changes on control-plane updates)
 // Register state (fastest-changing) is digested by RegisterFile itself.
+//
+// A program resolves its names as it is built: add_action binds the
+// action's field references against the parser's schema, and add_table
+// binds the table's keys and hands it the resolved actions, so entries
+// resolve their action names as they are added. check_entry is the
+// control plane's test that an entry can be added and run.
 #pragma once
 
 #include <map>
@@ -59,11 +65,16 @@ class DataplaneProgram {
       : name_(std::move(name)),
         version_(std::move(version)),
         parser_(std::move(parser)) {}
+  // Tables keep the address of bound_actions_.
+  DataplaneProgram(const DataplaneProgram&) = delete;
+  DataplaneProgram& operator=(const DataplaneProgram&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& version() const { return version_; }
   [[nodiscard]] const ParserProgram& parser() const { return parser_; }
 
+  /// Add or replace an action. Throws like resolve_field when an op names
+  /// an unknown metadata field or a field its header lacks.
   void add_action(ActionDef action);
   [[nodiscard]] const ActionDef* action(const std::string& name) const;
   [[nodiscard]] const std::map<std::string, ActionDef>& actions() const {
@@ -71,8 +82,15 @@ class DataplaneProgram {
   }
 
   /// Append a table to the ingress pipeline (executed in insertion order).
+  /// Throws like resolve_field for a key the parser's schema cannot read.
   Table& add_table(std::string name, std::vector<KeySpec> keys);
   [[nodiscard]] Table* table(const std::string& name);
+  [[nodiscard]] const Table* table(const std::string& name) const;
+
+  /// Throw std::invalid_argument unless `entry` can be added to table
+  /// `table` and run: the table exists, the key count matches, and the
+  /// action exists and gets at least the parameters it reads.
+  void check_entry(const std::string& table, const TableEntry& entry) const;
   [[nodiscard]] const std::vector<std::unique_ptr<Table>>& tables() const {
     return tables_;
   }
@@ -111,6 +129,7 @@ class DataplaneProgram {
   std::string version_;
   ParserProgram parser_;
   std::map<std::string, ActionDef> actions_;
+  ActionTable bound_actions_;  // actions_ resolved against parser_
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<RegisterDecl> register_decls_;
 };
@@ -149,6 +168,8 @@ class PisaSwitch {
   // --- individual stages (for PERA interleaving) -------------------------
   /// Parse. Counts parse errors; on error rethrows std::runtime_error.
   [[nodiscard]] ParsedPacket parse(const RawPacket& raw);
+  /// The same into `into`, reusing its buffers (ParserProgram::parse).
+  void parse(const RawPacket& raw, ParsedPacket& into);
 
   /// Run every table in pipeline order (executes matched actions).
   void run_pipeline(ParsedPacket& pkt);

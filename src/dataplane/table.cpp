@@ -2,23 +2,15 @@
 
 #include <stdexcept>
 
+#include "dataplane/parser.h"
 #include "obs/obs.h"
 
 namespace pera::dataplane {
 
 std::optional<std::uint64_t> read_key_field(const ParsedPacket& pkt,
                                             const FieldRef& ref) {
-  if (ref.header == "meta") {
-    if (ref.field == "ingress_port") return pkt.meta.ingress_port;
-    if (ref.field == "egress_port") return pkt.meta.egress_port;
-    if (ref.field == "packet_id") return pkt.meta.packet_id;
-    if (ref.field == "user0") return pkt.meta.user0;
-    if (ref.field == "user1") return pkt.meta.user1;
-    throw std::invalid_argument("unknown metadata field meta." + ref.field);
-  }
   const HeaderInstance* h = pkt.find(ref.header);
-  if (h == nullptr || !h->valid) return std::nullopt;
-  return h->get(ref.field);
+  return pkt.read(resolve_field(ref, h != nullptr ? h->spec : nullptr));
 }
 
 Table::Table(std::string name, std::vector<KeySpec> keys)
@@ -62,6 +54,7 @@ std::size_t Table::add_entry(TableEntry entry) {
                                 std::to_string(keys_.size()));
   }
   const std::size_t index = entries_.size();
+  entry_actions_.push_back(bound(entry.action));
   entries_.push_back(std::move(entry));
   ++revision_;
   if (tree_init_) {
@@ -105,10 +98,12 @@ std::size_t Table::remove_entry(std::size_t index) {
   }
   if (index != last) {
     entries_[index] = std::move(entries_[last]);
+    entry_actions_[index] = entry_actions_[last];
     if (tree_init_) dirty_entries_.push_back(index);
     if (all_exact_ && !index_stale_) index_add(index);
   }
   entries_.pop_back();
+  entry_actions_.pop_back();
   ++revision_;
   if (tree_init_) {
     tree_.truncate(entries_.size() + 1);  // entry leaves + default slot
@@ -125,12 +120,15 @@ TableEntry& Table::entry_mut(std::size_t index) {
   }
   ++revision_;
   if (tree_init_) dirty_entries_.push_back(index);
-  index_stale_ = true;  // the caller may rewrite the keys
+  index_stale_ = true;    // the caller may rewrite the keys
+  actions_stale_ = true;  // ... or the action
   return entries_[index];
 }
 
 void Table::clear() {
   entries_.clear();
+  entry_actions_.clear();
+  actions_stale_ = false;
   ++revision_;
   tree_.clear();
   tree_init_ = false;
@@ -150,6 +148,7 @@ void Table::set_mutation_profile(bool packet_writable, std::size_t capacity,
 void Table::set_default(std::string action, std::vector<std::uint64_t> params) {
   default_action_ = std::move(action);
   default_params_ = std::move(params);
+  default_bound_ = bound(default_action_);
   ++revision_;
   default_dirty_ = true;
 }
@@ -183,25 +182,55 @@ unsigned entry_specificity(const Table& t, const TableEntry& e) {
 }
 }  // namespace
 
-bool Table::entry_matches(const TableEntry& e, const ParsedPacket& pkt) const {
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    const auto value = read_key_field(pkt, keys_[i].field);
-    if (!value) return false;
-    if (!key_matches(keys_[i], e.keys[i], *value)) return false;
+void Table::bind_keys(const ParserProgram& parser) {
+  std::vector<FieldSlot> slots;
+  slots.reserve(keys_.size());
+  for (const KeySpec& k : keys_) slots.push_back(parser.resolve(k.field));
+  key_slots_ = std::move(slots);
+  slots_parser_ = parser.id();
+}
+
+void Table::bind_actions(const ActionTable* actions) {
+  actions_ = actions;
+  resolve_actions();
+}
+
+const BoundAction* Table::bound(const std::string& action) const {
+  if (actions_ == nullptr) return nullptr;
+  const auto it = actions_->find(action);
+  return it == actions_->end() ? nullptr : &it->second;
+}
+
+void Table::resolve_actions() {
+  entry_actions_.clear();
+  for (const TableEntry& e : entries_) entry_actions_.push_back(bound(e.action));
+  default_bound_ = bound(default_action_);
+  actions_stale_ = false;
+}
+
+bool Table::read_keys(const ParsedPacket& pkt) {
+  packet_keys_.clear();
+  const ParserProgram* parser = pkt.parser();
+  if (parser == nullptr) {  // hand-built: resolve against the packet
+    for (const KeySpec& k : keys_) {
+      const auto v = read_key_field(pkt, k.field);
+      if (!v) return false;
+      packet_keys_.push_back(*v);
+    }
+    return true;
+  }
+  if (parser->id() != slots_parser_) bind_keys(*parser);
+  for (const FieldSlot& slot : key_slots_) {
+    const auto v = pkt.read(slot);
+    if (!v) return false;  // absent header: no entry can match
+    packet_keys_.push_back(*v);
   }
   return true;
 }
 
-TableEntry* Table::lookup(const ParsedPacket& pkt) {
-  if (!all_exact_) return lookup_scan(pkt);
+TableEntry* Table::find_exact() {
   if (index_stale_) rebuild_index();
-  key_scratch_.clear();
-  for (const auto& spec : keys_) {
-    const auto value = read_key_field(pkt, spec.field);
-    if (!value) return nullptr;  // absent header: no exact entry can match
-    key_scratch_.push_back(*value);
-  }
-  const auto it = exact_index_.find(key_scratch_);
+  const auto it = exact_index_.find(packet_keys_);
   if (it == exact_index_.end()) return nullptr;
   // Same tie-breaking as the scan: highest priority, then lowest index
   // (exact keys contribute zero LPM specificity).
@@ -215,15 +244,18 @@ TableEntry* Table::lookup(const ParsedPacket& pkt) {
       best_idx = idx;
     }
   }
-  ++best->hit_count;
   return best;
 }
 
-TableEntry* Table::lookup_scan(const ParsedPacket& pkt) {
+TableEntry* Table::find_scan() {
   TableEntry* best = nullptr;
   unsigned best_spec = 0;
   for (auto& e : entries_) {
-    if (!entry_matches(e, pkt)) continue;
+    bool match = true;
+    for (std::size_t i = 0; i < keys_.size() && match; ++i) {
+      match = key_matches(keys_[i], e.keys[i], packet_keys_[i]);
+    }
+    if (!match) continue;
     const unsigned spec = entry_specificity(*this, e);
     if (best == nullptr || e.priority > best->priority ||
         (e.priority == best->priority && spec > best_spec)) {
@@ -231,6 +263,36 @@ TableEntry* Table::lookup_scan(const ParsedPacket& pkt) {
       best_spec = spec;
     }
   }
+  return best;
+}
+
+Table::Selection Table::select(const ParsedPacket& pkt) {
+  Selection sel;
+  sel.entry = lookup(pkt);
+  if (actions_stale_) resolve_actions();
+  if (sel.entry != nullptr) {
+    const auto index = static_cast<std::size_t>(sel.entry - entries_.data());
+    sel.action = &sel.entry->action;
+    sel.bound = entry_actions_[index];
+    sel.params = &sel.entry->action_params;
+  } else if (!default_action_.empty()) {
+    sel.action = &default_action_;
+    sel.bound = default_bound_;
+    sel.params = &default_params_;
+  }
+  return sel;
+}
+
+TableEntry* Table::lookup(const ParsedPacket& pkt) {
+  if (!read_keys(pkt)) return nullptr;
+  TableEntry* best = all_exact_ ? find_exact() : find_scan();
+  if (best != nullptr) ++best->hit_count;
+  return best;
+}
+
+TableEntry* Table::lookup_scan(const ParsedPacket& pkt) {
+  if (!read_keys(pkt)) return nullptr;
+  TableEntry* best = find_scan();
   if (best != nullptr) ++best->hit_count;
   return best;
 }

@@ -16,6 +16,13 @@
 //   * lookup() uses an exact-match hash index when every key spec is
 //     kExact (LPM/ternary/mixed tables keep the linear scan), so per-packet
 //     cost is O(1) at million-entry scale. lookup_scan() is the reference.
+//
+// Names are resolved ahead of the packet path. The key fields resolve to
+// FieldSlots against a parser (bind_keys, at program build; a packet from
+// another parser resolves them again, once per parser), and each lookup
+// reads every key once before matching. Entry and default action names
+// resolve to BoundActions when the entry is added (bind_actions hands
+// the table its program's actions).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +33,7 @@
 
 #include "crypto/incremental_merkle.h"
 #include "crypto/merkle.h"
+#include "dataplane/action.h"
 #include "dataplane/packet.h"
 
 namespace pera::dataplane {
@@ -63,10 +71,10 @@ struct TableEntry {
   std::uint64_t hit_count = 0;            // updated on lookup (not attested)
 };
 
-/// Read a key field from packet or metadata. Returns nullopt when the
-/// referenced header is absent (such entries can only match wildcards —
-/// we treat absent as "no match" for simplicity, like bmv2's invalid-key
-/// behaviour with miss).
+/// Read a key field from packet or metadata, resolving the name against
+/// the packet. Returns nullopt when the referenced header is absent (such
+/// entries can only match wildcards — we treat absent as "no match" for
+/// simplicity, like bmv2's invalid-key behaviour with miss).
 [[nodiscard]] std::optional<std::uint64_t> read_key_field(
     const ParsedPacket& pkt, const FieldRef& ref);
 
@@ -133,6 +141,27 @@ class Table {
   /// spec is kExact).
   [[nodiscard]] bool exact_indexed() const { return all_exact_; }
 
+  /// Resolve the key fields against `parser`'s schema. Throws like
+  /// resolve_field (an unknown metadata field, a field a header lacks).
+  void bind_keys(const ParserProgram& parser);
+
+  /// Resolve entry and default action names against `actions` (a
+  /// program's; they must outlive the table). Names it lacks resolve to
+  /// null, so running them fails as before.
+  void bind_actions(const ActionTable* actions);
+
+  /// What one packet selects: the best entry (null on a miss) and the
+  /// action to run with its parameters — the entry's, or the default on
+  /// a miss. `action` is null for a no-op miss; `bound` is null when
+  /// `action` names nothing bind_actions knows.
+  struct Selection {
+    TableEntry* entry = nullptr;
+    const std::string* action = nullptr;
+    const BoundAction* bound = nullptr;
+    const std::vector<std::uint64_t>* params = nullptr;
+  };
+  [[nodiscard]] Selection select(const ParsedPacket& pkt);
+
   /// Look up the best-matching entry. Updates its hit counter.
   /// Returns nullptr on miss.
   [[nodiscard]] TableEntry* lookup(const ParsedPacket& pkt);
@@ -159,8 +188,12 @@ class Table {
     std::size_t operator()(const std::vector<std::uint64_t>& k) const;
   };
 
-  [[nodiscard]] bool entry_matches(const TableEntry& e,
-                                   const ParsedPacket& pkt) const;
+  // Read every key of `pkt` into packet_keys_; false when one is absent.
+  [[nodiscard]] bool read_keys(const ParsedPacket& pkt);
+  [[nodiscard]] TableEntry* find_exact();
+  [[nodiscard]] TableEntry* find_scan();
+  [[nodiscard]] const BoundAction* bound(const std::string& action) const;
+  void resolve_actions();
   [[nodiscard]] static crypto::Digest entry_leaf(const TableEntry& e);
   [[nodiscard]] crypto::Digest default_leaf() const;
   void flush_dirty_leaves() const;
@@ -195,6 +228,17 @@ class Table {
                      ExactKeyHash>
       exact_index_;
   std::vector<std::uint64_t> key_scratch_;
+
+  // Resolved names. key_slots_ applies to packets of parser id
+  // slots_parser_ (0: none yet). entry_actions_ is parallel to entries_;
+  // entry_mut may rename an action, so it marks them stale.
+  std::uint64_t slots_parser_ = 0;
+  std::vector<FieldSlot> key_slots_;
+  std::vector<std::uint64_t> packet_keys_;
+  const ActionTable* actions_ = nullptr;
+  std::vector<const BoundAction*> entry_actions_;
+  const BoundAction* default_bound_ = nullptr;
+  bool actions_stale_ = false;
 };
 
 }  // namespace pera::dataplane

@@ -251,8 +251,12 @@ void RegionalNode::handle_evidence(netsim::Network& net,
   // Stash the raw evidence under the result's nonce BEFORE feeding the
   // transport: on_result completes the round synchronously, and the
   // completion handler recovers the evidence for the aggregate entry.
-  stash_[em.nonce.value] = Appraised{em.evidence, cert.evidence_digest,
-                                     measurement_root_of(res.detail.evidence)};
+  stash_[em.nonce.value] = Appraised{
+      em.evidence, cert.evidence_digest,
+      res.detail.decoded
+          ? measurement_root_of(copland::decode(crypto::BytesView{
+                em.evidence.data(), em.evidence.size()}))
+          : crypto::Digest{}};
   transport_.on_result(cert, net.now());
   stash_.erase(em.nonce.value);
 }

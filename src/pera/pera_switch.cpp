@@ -52,12 +52,8 @@ void PeraSwitch::load_program(
 
 void PeraSwitch::update_table(const std::string& table,
                               dataplane::TableEntry entry) {
-  dataplane::Table* t = switch_.program().table(table);
-  if (t == nullptr) {
-    throw std::invalid_argument("update_table: no table '" + table + "' in " +
-                                switch_.program().name());
-  }
-  t->add_entry(std::move(entry));
+  switch_.program().check_entry(table, entry);
+  switch_.program().table(table)->add_entry(std::move(entry));
   mu_.on_tables_updated();
   PERA_OBS_COUNT("pera.epoch.tables");
   PERA_OBS_EVENT(obs::SpanKind::kEpochBump, name_, 0,
@@ -82,9 +78,9 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
   PeraResult result;
 
   // (A) parse + (B/C) the ordinary pipeline.
-  dataplane::ParsedPacket pkt;
+  dataplane::ParsedPacket& pkt = packet_;
   try {
-    pkt = switch_.parse(in);
+    switch_.parse(in, pkt);
   } catch (const std::exception&) {
     return result;  // parse error counted by the dataplane
   }

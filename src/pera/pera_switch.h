@@ -73,7 +73,9 @@ class PeraSwitch {
   /// evidence immediately expires; this is how RA catches the swap).
   void load_program(std::shared_ptr<dataplane::DataplaneProgram> program);
 
-  /// Add a table entry at runtime (bumps the tables epoch).
+  /// Add a table entry at runtime (bumps the tables epoch). Throws
+  /// std::invalid_argument, changing nothing, when the program cannot
+  /// run it (DataplaneProgram::check_entry).
   void update_table(const std::string& table, dataplane::TableEntry entry);
 
   /// Register a named guard test evaluated against the current packet
@@ -120,6 +122,7 @@ class PeraSwitch {
   PeraStats stats_;
   std::map<std::string, PacketGuard> guards_;
   std::map<crypto::Digest, std::uint64_t> flow_counters_;
+  dataplane::ParsedPacket packet_;  // process() parses into it, reusing it
 
   // Deferred out-of-band signing (config_.oob_batch_size > 1).
   std::optional<EvidenceBatcher> batcher_;

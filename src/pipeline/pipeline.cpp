@@ -27,7 +27,7 @@ std::vector<crypto::Digest> PeraPipeline::shard_keys(
 PeraPipeline::PeraPipeline(std::string name, ProgramFactory factory,
                            const crypto::Digest& root_key,
                            PipelineOptions options)
-    : name_(std::move(name)), options_(options) {
+    : name_(std::move(name)), options_(options), factory_(factory) {
   if (options_.shards == 0) options_.shards = 1;
   const std::vector<crypto::Digest> keys =
       shard_keys(root_key, options_.shard_key_label, options_.shards);
@@ -40,6 +40,8 @@ PeraPipeline::PeraPipeline(std::string name, ProgramFactory factory,
     if (options_.pin_cores) {
       workers_.back()->set_pin_cpu(static_cast<int>(i));
     }
+    queue_depth_metric_.push_back("pipeline.queue.depth.shard" +
+                                  std::to_string(i));
   }
   if (options_.appraisers > 0) {
     AppraiserOptions ao;
@@ -111,7 +113,7 @@ bool PeraPipeline::submit(const dataplane::RawPacket& raw,
     while (!q.try_push(std::move(job))) full.wait();
   }
   if (obs::enabled()) {
-    obs::gauge_set("pipeline.queue.depth.shard" + std::to_string(shard),
+    obs::gauge_set(queue_depth_metric_[shard],
                    static_cast<std::int64_t>(q.size()));
   }
   return true;
@@ -135,6 +137,9 @@ void PeraPipeline::stop() {
 }
 
 void PeraPipeline::load_program(ProgramFactory factory) {
+  const std::lock_guard<std::mutex> lock(control_mu_);
+  factory_ = factory;
+  control_program_.reset();
   ControlOp op;
   op.kind = ControlOp::Kind::kLoadProgram;
   op.factory = std::move(factory);
@@ -144,6 +149,9 @@ void PeraPipeline::load_program(ProgramFactory factory) {
 
 void PeraPipeline::update_table(std::string table,
                                 dataplane::TableEntry entry) {
+  const std::lock_guard<std::mutex> lock(control_mu_);
+  if (!control_program_) control_program_ = factory_();
+  control_program_->check_entry(table, entry);
   ControlOp op;
   op.kind = ControlOp::Kind::kUpdateTable;
   op.table = std::move(table);

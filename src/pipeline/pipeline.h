@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,6 +128,9 @@ class PeraPipeline {
   void load_program(ProgramFactory factory);
 
   /// Add a table entry on every shard (lazily). Bumps tables epochs.
+  /// Checked on the calling thread against the program the shards will
+  /// run when they apply it: an entry that program cannot run throws
+  /// std::invalid_argument and never reaches a shard.
   void update_table(std::string table, dataplane::TableEntry entry);
 
   [[nodiscard]] const EpochBlock& epochs() const { return epochs_; }
@@ -163,6 +167,16 @@ class PeraPipeline {
   std::unique_ptr<ParallelAppraiser> appraiser_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
+
+  // The control plane's copy of the latest program, built from factory_
+  // when an update first needs checking. control_mu_ orders the checks
+  // and publishes of concurrent control threads.
+  std::mutex control_mu_;
+  ProgramFactory factory_;
+  std::shared_ptr<dataplane::DataplaneProgram> control_program_;
+
+  // Per-shard metric names, built once.
+  std::vector<std::string> queue_depth_metric_;
   bool started_ = false;
   bool stopped_ = false;
 

@@ -42,7 +42,7 @@ AppraisedRecord appraise_record(const EvidenceItem& item,
                                 const VerifierSet& verifiers) {
   const copland::AppraisalResult res =
       copland::appraise(item.evidence, nullptr, verifiers, item.nonce);
-  const AppraisedRecord rec{item.seq, item.shard, res.evidence != nullptr,
+  const AppraisedRecord rec{item.seq, item.shard, res.decoded,
                             res.ok, res.content_digest};
   PERA_OBS_COUNT(rec.sig_ok ? "pipeline.appraise.sig_ok"
                             : "pipeline.appraise.sig_fail");

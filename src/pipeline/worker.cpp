@@ -35,7 +35,8 @@ ShardWorker::ShardWorker(std::uint32_t id, std::string place,
       epochs_(&epochs),
       queue_(queue_capacity),
       recycle_(queue_capacity),
-      base_packet_cost_(base_packet_cost) {}
+      base_packet_cost_(base_packet_cost),
+      packets_metric_("pipeline.shard.packets." + std::to_string(id)) {}
 
 void ShardWorker::run(const std::atomic<bool>& stop) {
   crypto::engine::publish_metrics();
@@ -110,7 +111,7 @@ void ShardWorker::process(PacketJob job) {
   ++report_.processed;
   if (res.forwarded.has_value()) ++report_.forwarded;
   if (res.attested) ++report_.attested;
-  PERA_OBS_COUNT("pipeline.shard.packets." + std::to_string(id_));
+  PERA_OBS_COUNT(packets_metric_);
 
   // The packet's payload buffer is spent: hand its capacity back to the
   // dispatcher through the recycle ring (full ring = let it free).

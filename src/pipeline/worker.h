@@ -150,6 +150,7 @@ class ShardWorker {
   SpscQueue<PacketJob> queue_;
   SpscQueue<crypto::Bytes> recycle_;
   netsim::SimTime base_packet_cost_;
+  std::string packets_metric_;  // pipeline.shard.packets.<id>
   EvidenceSink* sink_ = nullptr;
   int pin_cpu_ = -1;
 

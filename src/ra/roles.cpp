@@ -94,9 +94,10 @@ AttestationResult Appraiser::appraise(
     }
   }
 
-  // Declarative coverage policy: required targets / vetted versions.
-  if (policy_ && result.detail.evidence) {
-    const PolicyVerdict pv = policy_->evaluate(result.detail.evidence);
+  // Declarative coverage policy: required targets / vetted versions. The
+  // core builds no tree, so the policy decodes its own.
+  if (policy_ && result.detail.decoded) {
+    const PolicyVerdict pv = policy_->evaluate(copland::decode(evidence));
     if (!pv.ok) {
       for (const auto& f : pv.findings) {
         result.detail.add({copland::AppraisalFinding::Kind::kBadMeasurement,

@@ -83,7 +83,7 @@ class Appraiser {
   /// Provision a golden value for (place, target).
   void set_golden(const std::string& place, const std::string& target,
                   const crypto::Digest& value);
-  [[nodiscard]] const std::map<copland::ComponentId, crypto::Digest>& goldens()
+  [[nodiscard]] const copland::Goldens& goldens()
       const {
     return goldens_;
   }
@@ -158,7 +158,7 @@ class Appraiser {
   std::string name_;
   crypto::KeyStore* keys_;
   crypto::NonceRegistry nonces_;
-  std::map<copland::ComponentId, crypto::Digest> goldens_;
+  copland::Goldens goldens_;
   std::map<crypto::Digest, Certificate> cert_store_;
   std::optional<AppraisalPolicy> policy_;
   std::uint64_t appraisal_count_ = 0;

@@ -4,6 +4,11 @@
 // behaves identically on non-target traffic but has a different digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <stdexcept>
+
 #include "dataplane/builder.h"
 
 namespace pera::dataplane {
@@ -419,6 +424,230 @@ TEST(Monitor, CountsViaRegisters) {
   spec.dport = 443;
   (void)sw.process(make_tcp_packet(spec));
   EXPECT_GT(sw.registers().write_count(), 0u);
+}
+
+// --- match-action differential ------------------------------------------------
+
+// Reference key reader and lookup: every key is resolved by its name on
+// every read, and every entry is scanned — the behaviour the resolved
+// slots, the per-lookup key read and the exact-match index must keep.
+namespace reference {
+
+std::optional<std::uint64_t> read_key(const ParsedPacket& pkt,
+                                      const FieldRef& ref) {
+  if (ref.header == "meta") {
+    if (ref.field == "ingress_port") return pkt.meta.ingress_port;
+    if (ref.field == "egress_port") return pkt.meta.egress_port;
+    if (ref.field == "packet_id") return pkt.meta.packet_id;
+    if (ref.field == "user0") return pkt.meta.user0;
+    if (ref.field == "user1") return pkt.meta.user1;
+    throw std::invalid_argument("unknown metadata field meta." + ref.field);
+  }
+  for (const HeaderInstance& h : pkt.headers()) {
+    if (h.spec->name != ref.header) continue;
+    if (!h.valid) return std::nullopt;
+    for (std::size_t i = 0; i < h.spec->fields.size(); ++i) {
+      if (h.spec->fields[i].name == ref.field) return h.values[i];
+    }
+    throw std::out_of_range("no field " + ref.field);
+  }
+  return std::nullopt;
+}
+
+bool matches(const KeySpec& spec, const KeyMatch& m, std::uint64_t v) {
+  switch (spec.kind) {
+    case MatchKind::kExact:
+      return v == m.value;
+    case MatchKind::kLpm: {
+      if (m.prefix_len == 0) return true;
+      const unsigned width = spec.width == 0 || spec.width > 64 ? 64 : spec.width;
+      const unsigned plen = std::min(m.prefix_len, width);
+      const std::uint64_t mask =
+          plen >= 64 ? ~0ULL : (((1ULL << plen) - 1) << (width - plen));
+      return (v & mask) == (m.value & mask);
+    }
+    case MatchKind::kTernary:
+      return (v & m.mask) == (m.value & m.mask);
+  }
+  return false;
+}
+
+const TableEntry* lookup(const Table& t, const ParsedPacket& pkt) {
+  const TableEntry* best = nullptr;
+  unsigned best_spec = 0;
+  for (const TableEntry& e : t.entries()) {
+    bool hit = true;
+    unsigned spec = 0;
+    for (std::size_t i = 0; i < t.keys().size() && hit; ++i) {
+      const auto v = read_key(pkt, t.keys()[i].field);
+      hit = v && matches(t.keys()[i], e.keys[i], *v);
+      if (t.keys()[i].kind == MatchKind::kLpm) spec += e.keys[i].prefix_len;
+    }
+    if (!hit) continue;
+    if (best == nullptr || e.priority > best->priority ||
+        (e.priority == best->priority && spec > best_spec)) {
+      best = &e;
+      best_spec = spec;
+    }
+  }
+  return best;
+}
+
+}  // namespace reference
+
+struct KeyField {
+  FieldRef ref;
+  unsigned bits;
+  std::vector<std::uint64_t> values;  // what packets and entries draw from
+};
+
+// Key fields the random tables draw from: headers every packet has, the
+// TCP header UDP packets lack, and metadata.
+const std::vector<KeyField>& key_fields() {
+  static const std::vector<KeyField> fields = {
+      {{"ipv4", "dst"}, 32, {0x0a000105, 0x0a000202, 0x0a0003ff, 0xc0a80001}},
+      {{"ipv4", "src"}, 32, {0x0a000101, 0x0a800001, 0xc0a80002}},
+      {{"ipv4", "ttl"}, 8, {1, 64, 255}},
+      {{"tcp", "dport"}, 16, {80, 443, 6667}},
+      {{"tcp", "sport"}, 16, {1024, 40000}},
+      {{"meta", "ingress_port"}, 32, {0, 1, 7}},
+      {{"meta", "user0"}, 64, {0, 5, ~0ULL}},
+  };
+  return fields;
+}
+
+TableEntry random_entry(std::mt19937_64& rng, const std::vector<KeySpec>& keys,
+                        const std::vector<const KeyField*>& fields,
+                        const std::vector<std::string>& actions) {
+  TableEntry e;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto& vals = fields[i]->values;
+    const std::uint64_t v = vals[rng() % vals.size()];
+    switch (keys[i].kind) {
+      case MatchKind::kExact:
+        e.keys.push_back(KeyMatch::exact(v));
+        break;
+      case MatchKind::kLpm:
+        e.keys.push_back(KeyMatch::lpm(v, static_cast<unsigned>(
+                                              rng() % (fields[i]->bits + 1))));
+        break;
+      case MatchKind::kTernary:
+        e.keys.push_back(rng() % 4 == 0 ? KeyMatch::wildcard()
+                                        : KeyMatch::ternary(v, rng()));
+        break;
+    }
+  }
+  e.priority = static_cast<std::uint32_t>(rng() % 4);
+  e.action = actions[rng() % actions.size()];
+  e.action_params = {rng() % 8};
+  return e;
+}
+
+ParsedPacket random_packet(std::mt19937_64& rng, const ParserProgram& parser) {
+  const auto pick = [&rng](std::size_t field) {
+    const auto& vals = key_fields()[field].values;
+    return vals[rng() % vals.size()];
+  };
+  PacketSpec spec;
+  spec.ip_dst = static_cast<std::uint32_t>(pick(0));
+  spec.ip_src = static_cast<std::uint32_t>(pick(1));
+  spec.ttl = static_cast<std::uint8_t>(pick(2));
+  spec.dport = static_cast<std::uint16_t>(pick(3));
+  spec.sport = static_cast<std::uint16_t>(pick(4));
+  spec.ingress_port = static_cast<std::uint32_t>(pick(5));
+  RawPacket raw = make_tcp_packet(spec);
+  // A UDP packet: the standard parser stops after ipv4, so tcp.* is absent.
+  if (rng() % 3 == 0) raw.data[14 + 9] = 17;
+  ParsedPacket pkt = parser.parse(raw);
+  pkt.meta.user0 = pick(6);
+  return pkt;
+}
+
+TEST(MatchAction, ResolvedLookupsMatchScanAndNameResolvingReference) {
+  std::mt19937_64 rng(11);
+  const std::vector<std::shared_ptr<DataplaneProgram>> programs = {
+      make_router(), make_firewall(), make_acl()};
+  for (const auto& prog : programs) {
+    std::vector<std::string> actions;
+    for (const auto& [name, def] : prog->actions()) actions.push_back(name);
+    actions.push_back("nosuch");  // resolves to nothing
+
+    // One random table per match kind; the LPM and ternary ones also get
+    // an exact key.
+    std::vector<Table*> tables;
+    std::vector<std::vector<const KeyField*>> table_fields;
+    for (const MatchKind kind :
+         {MatchKind::kExact, MatchKind::kLpm, MatchKind::kTernary}) {
+      std::vector<KeySpec> keys;
+      std::vector<const KeyField*> fields;
+      const std::size_t n = 1 + rng() % 3;
+      for (std::size_t k = 0; k < n; ++k) {
+        const KeyField& f = key_fields()[rng() % key_fields().size()];
+        keys.push_back(KeySpec{f.ref, k == 0 ? kind : MatchKind::kExact,
+                               f.bits});
+        fields.push_back(&f);
+      }
+      Table& t = prog->add_table(
+          "random" + std::to_string(tables.size()), std::move(keys));
+      for (int i = 0; i < 6; ++i) {
+        (void)t.add_entry(random_entry(rng, t.keys(), fields, actions));
+      }
+      tables.push_back(&t);
+      table_fields.push_back(std::move(fields));
+    }
+    for (const auto& t : prog->tables()) {
+      if (std::find(tables.begin(), tables.end(), t.get()) == tables.end()) {
+        tables.push_back(t.get());  // the program's own tables too
+        table_fields.emplace_back();
+      }
+    }
+
+    for (int step = 0; step < 600; ++step) {
+      // Mostly the program's parser; sometimes another one, whose packets
+      // make the tables resolve their keys again.
+      const ParsedPacket pkt = random_packet(
+          rng, rng() % 4 == 0 ? std_parser() : prog->parser());
+      for (Table* t : tables) {
+        const TableEntry* want = reference::lookup(*t, pkt);
+        ASSERT_EQ(t->lookup(pkt), want) << t->name() << " step " << step;
+        ASSERT_EQ(t->lookup_scan(pkt), want) << t->name() << " step " << step;
+        const Table::Selection sel = t->select(pkt);
+        ASSERT_EQ(sel.entry, want);
+        const std::string& action =
+            want != nullptr ? want->action : t->default_action();
+        if (action.empty()) {
+          ASSERT_EQ(sel.action, nullptr);
+          continue;
+        }
+        ASSERT_NE(sel.action, nullptr);
+        ASSERT_EQ(*sel.action, action);
+        const ActionDef* def = prog->action(action);
+        ASSERT_EQ(sel.bound != nullptr, def != nullptr) << action;
+        if (def != nullptr) {
+          ASSERT_EQ(&sel.bound->def(), def);
+        }
+      }
+
+      // Mutate one random table between lookups.
+      const std::size_t ti = rng() % tables.size();
+      Table& t = *tables[ti];
+      if (table_fields[ti].empty()) continue;  // canned: leave as built
+      const std::uint64_t op = rng() % 10;
+      if (op < 3) {
+        (void)t.add_entry(random_entry(rng, t.keys(), table_fields[ti], actions));
+      } else if (op < 5 && t.entry_count() > 0) {
+        (void)t.remove_entry(rng() % t.entry_count());
+      } else if (op < 8 && t.entry_count() > 0) {
+        TableEntry& e = t.entry_mut(rng() % t.entry_count());
+        e = random_entry(rng, t.keys(), table_fields[ti], actions);
+      } else if (op < 9) {
+        t.set_default(rng() % 3 == 0 ? "" : actions[rng() % actions.size()],
+                      {rng() % 8});
+      } else if (rng() % 4 == 0) {
+        t.clear();
+      }
+    }
+  }
 }
 
 }  // namespace

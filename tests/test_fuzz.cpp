@@ -16,9 +16,11 @@
 #include "dataplane/p4mini.h"
 #include "nac/header.h"
 #include "netkat/parser.h"
+#include "pera/batcher.h"
 #include "ra/certificate.h"
 #include "ra/roles.h"
 #include "ra/endorsement.h"
+#include "reference_appraisal.h"
 
 namespace pera {
 namespace {
@@ -205,6 +207,63 @@ TEST(Fuzz, DeepSeqBufferThrowsInsteadOfCrashing) {
   const Bytes b(100 * 1024, 0x05);
   EXPECT_THROW((void)copland::decode(BytesView{b.data(), b.size()}),
                std::invalid_argument);
+}
+
+// The genuine records the appraisal differential mutates: HMAC-, XMSS- and
+// Merkle-batch-signed rounds, and a signed par/seq with a nested
+// signature, a tampered measurement and an unknown component.
+std::vector<Bytes> genuine_records(reference::AppraisalSetup& s) {
+  using copland::Evidence;
+  std::vector<Bytes> out;
+  out.push_back(copland::encode(s.sign("sw1", s.round("sw1"))));
+  out.push_back(copland::encode(s.sign("xsw", s.round("xsw"))));
+  const std::vector<copland::EvidencePtr> batch = {
+      s.round("sw2"), s.round("sw2", /*tampered=*/true),
+      s.measured("sw2", "program")};
+  pera::EvidenceBatcher batcher(*s.keys.signer_for("sw2"), batch.size() + 1);
+  for (const auto& body : batch) (void)batcher.add(copland::digest(body));
+  const std::vector<crypto::Signature> sigs = batcher.flush_wrapped();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    out.push_back(
+        copland::encode(Evidence::signature("sw2", batch[i], sigs[i])));
+  }
+  out.push_back(copland::encode(s.sign(
+      "sw1", Evidence::par(s.sign("sw2", s.round("sw2")),
+                           Evidence::seq(s.round("sw1", /*tampered=*/true),
+                                         s.measured("sw1", "nosuch"))))));
+  return out;
+}
+
+TEST(Fuzz, AppraisalWalkMatchesDecodeThenTreeWalk) {
+  reference::AppraisalSetup s;
+  const std::vector<Bytes> records = genuine_records(s);
+  const auto verdict = [&s](const Bytes& b) {
+    return copland::appraise(BytesView{b.data(), b.size()}, &s.goldens,
+                             s.keys, s.nonce);
+  };
+  EXPECT_TRUE(verdict(records[0]).ok);  // HMAC
+  EXPECT_TRUE(verdict(records[1]).ok);  // XMSS
+  EXPECT_TRUE(verdict(records[2]).ok);  // Merkle-batched
+  EXPECT_EQ(verdict(records.back()).signatures_checked, 2u);
+
+  crypto::Drbg rng(29);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    for (int i = 0; i < 300; ++i) {
+      const Bytes b =
+          i == 0 ? records[r]
+                 : mutate(records[r], rng, 1 + static_cast<int>(rng.uniform(6)));
+      const BytesView v{b.data(), b.size()};
+      // With and without goldens and a round nonce.
+      const bool full = i % 2 == 0;
+      const copland::Goldens* goldens = full ? &s.goldens : nullptr;
+      const crypto::Nonce nonce = full ? s.nonce : crypto::Nonce{};
+      ASSERT_EQ(reference::difference(copland::appraise(v, goldens, s.keys, nonce),
+                                      reference::appraise(v, goldens, s.keys,
+                                                          nonce)),
+                "")
+          << "record " << r << " mutation " << i;
+    }
+  }
 }
 
 // Text-format fuzzing: mutated sources must parse or throw, never crash.

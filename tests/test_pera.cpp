@@ -88,6 +88,25 @@ TEST(MeasurementUnit, EpochsAdvanceWithState) {
   EXPECT_GT(mu.epoch(nac::EvidenceDetail::kProgState), st0);
 }
 
+TEST(MeasurementUnit, UpdateTheProgramCannotRunChangesNothing) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  const auto tab0 = sw.measurement().epoch(nac::EvidenceDetail::kTables);
+  const std::size_t routes = sw.dataplane().program().table("route")->entry_count();
+  dataplane::TableEntry e;
+  e.keys = {dataplane::KeyMatch::lpm(0x0a000000, 8)};
+  e.action = "bogus";
+  EXPECT_THROW(sw.update_table("route", e), std::invalid_argument);
+  e.action = "forward";  // reads one parameter; binds none
+  EXPECT_THROW(sw.update_table("route", e), std::invalid_argument);
+  e.action_params = {1};
+  EXPECT_THROW(sw.update_table("nosuch", e), std::invalid_argument);
+  e.keys.push_back(dataplane::KeyMatch::exact(1));
+  EXPECT_THROW(sw.update_table("route", e), std::invalid_argument);
+  EXPECT_EQ(sw.dataplane().program().table("route")->entry_count(), routes);
+  EXPECT_EQ(sw.measurement().epoch(nac::EvidenceDetail::kTables), tab0);
+}
+
 TEST(MeasurementUnit, SwapChangesProgramMeasurement) {
   Bed bed;
   PeraSwitch sw = bed.make_switch();

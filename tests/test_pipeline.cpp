@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -430,6 +431,54 @@ TEST(PipelineEpoch, ConcurrentControlOpsConvergeAcrossShards) {
   for (const auto& [flow, v] : appraiser.appraise()) {
     EXPECT_TRUE(v.ok) << "flow " << flow;
   }
+}
+
+/// Run a one-shard pipeline with its appraiser, try `bad_op` halfway
+/// through the stream, and check that it throws std::invalid_argument and
+/// that every packet still comes out appraised ok.
+void expect_rejected_midstream(
+    const std::function<void(PeraPipeline&)>& bad_op) {
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.appraisers = 1;
+  opt.drop_on_full = false;
+  PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
+  pipe.start();
+  const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
+  const std::vector<dataplane::RawPacket> stream = make_stream(64, 8);
+  for (std::size_t i = 0; i < 32; ++i) (void)pipe.submit(stream[i], &hdr);
+  EXPECT_THROW(bad_op(pipe), std::invalid_argument);
+  for (std::size_t i = 32; i < stream.size(); ++i) {
+    (void)pipe.submit(stream[i], &hdr);
+  }
+  pipe.stop();
+  EXPECT_EQ(pipe.appraiser()->records(), stream.size());
+  EXPECT_FALSE(pipe.appraiser()->verdicts().empty());
+  for (const auto& [flow, v] : pipe.appraiser()->verdicts()) {
+    EXPECT_TRUE(v.ok) << "flow " << flow;
+  }
+}
+
+TEST(PipelineEpoch, UpdateOfUnknownTableIsRejectedOnTheCallersThread) {
+  expect_rejected_midstream([](PeraPipeline& pipe) {
+    dataplane::TableEntry e;
+    e.keys = {dataplane::KeyMatch::lpm(0x0a000000, 8)};
+    e.action = "forward";
+    e.action_params = {1};
+    pipe.update_table("nosuch", e);
+  });
+}
+
+TEST(PipelineEpoch, RouteToUnknownActionIsRejectedBeforeAnyPacketMatchesIt) {
+  // A /8 at priority 100 would win every lookup of the stream.
+  expect_rejected_midstream([](PeraPipeline& pipe) {
+    dataplane::TableEntry e;
+    e.keys = {dataplane::KeyMatch::lpm(0x0a000000, 8)};
+    e.priority = 100;
+    e.action = "bogus";
+    e.action_params = {1};
+    pipe.update_table("route", e);
+  });
 }
 
 // --- parallel appraisal ---------------------------------------------------------
