@@ -75,7 +75,6 @@ Cell run_cell(const Keys& keys, std::size_t connections, std::size_t reactors,
               std::uint64_t total_rounds, std::size_t depth) {
   net::ServerConfig sc;
   sc.reactors = reactors;
-  sc.appraiser_workers = 1;
   sc.quote_root_key = keys.quote_root;
   sc.golden_measurement = keys.golden;
   sc.evidence_root_key = keys.evidence_root;

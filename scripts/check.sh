@@ -150,6 +150,13 @@ echo "== pera_fleet hierarchical scenario (smoke) =="
 build/tools/pera_fleet --seed=42 --loss=0.01 --switches=24 --fanout=8 \
   --duration-ms=1200 > /dev/null
 
+echo "== tools reject unknown flags =="
+for tool in pera_ctl pera_fleet pera_net; do
+  rc=0
+  "build/tools/$tool" --no-such-flag > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "$tool --no-such-flag exited $rc, want 2"; exit 1; }
+done
+
 # The Fig. 4 design-space bench must export a usable metrics dump
 # (see docs/OBSERVABILITY.md).
 echo "== observability export (smoke) =="

@@ -15,17 +15,19 @@
 
 namespace pera::net {
 
+/// Names the appraiser in counter-quotes and result certificates.
+constexpr const char* kAppraiserName = "appraiser";
+
 /// Work posted across threads into a reactor: adopted connections (from
-/// the accepting reactor), signed-result requests (from appraiser
-/// workers), relayed challenges (from another reactor's RP session).
+/// the accepting reactor), relayed challenges (from an RP session's
+/// reactor) and the certificates that answer them (from the switch
+/// session's reactor).
 struct AppraiserServer::Inbound {
   enum class Kind : std::uint8_t { kNewConn, kResult, kChallenge, kStop };
   Kind kind = Kind::kStop;
   int fd = -1;                 // kNewConn
   std::uint64_t token = 0;     // kResult / kChallenge destination
-  crypto::Nonce nonce{};       // kResult
-  crypto::Bytes evidence;      // kResult: the appraised bytes
-  bool verdict = false;
+  ra::Certificate cert;        // kResult
   ChallengeFrame challenge;    // kChallenge
 };
 
@@ -35,12 +37,12 @@ struct AppraiserServer::Conn {
   Link link;
   std::uint64_t token = 0;
   ServerSession session;
-  std::uint64_t next_seq = 0;
   std::uint32_t interest = 0;
   bool reads_paused = false;
   bool closing = false;        // close once the write queue drains
   bool place_registered = false;
   bool reject_counted = false;
+  bool relay_target = false;   // has been sent a relayed challenge
 };
 
 struct AppraiserServer::Reactor {
@@ -60,7 +62,6 @@ AppraiserServer::AppraiserServer(ServerConfig config)
     : config_(std::move(config)), hello_nonces_(config_.nonce_seed) {
   if (config_.reactors == 0) config_.reactors = 1;
   if (config_.reactors > 255) config_.reactors = 255;
-  if (config_.appraiser_workers == 0) config_.appraiser_workers = 1;
 }
 
 AppraiserServer::~AppraiserServer() { stop(); }
@@ -103,22 +104,13 @@ void AppraiserServer::start() {
   };
   session_config_.counter_quote = [this](const crypto::Nonce& client_nonce) {
     const std::lock_guard<std::mutex> lock(hello_mu_);
-    return Quote::make(config_.appraiser_name, client_nonce,
+    return Quote::make(kAppraiserName, client_nonce,
                        config_.appraiser_measurement, *counter_quote_signer_);
   };
 
-  pipeline::AppraiserOptions opts;
-  opts.workers = config_.appraiser_workers;
-  opts.scheme = config_.scheme;
-  opts.xmss_height = config_.xmss_height;
-  opts.record_hook = [this](const pipeline::EvidenceItem& item,
-                            pipeline::AppraisedRecord&& rec) {
-    on_appraised(item, std::move(rec));
-  };
-  appraiser_ = std::make_unique<pipeline::ParallelAppraiser>(
+  verifiers_ = std::make_unique<pipeline::VerifierSet>(
       config_.evidence_root_key, config_.evidence_key_label,
-      config_.evidence_max_shards, opts);
-  appraiser_->start(config_.reactors);
+      config_.evidence_max_shards);
 
   running_.store(true, std::memory_order_release);
   reactors_.reserve(config_.reactors);
@@ -160,7 +152,6 @@ void AppraiserServer::stop() {
   for (auto& r : reactors_) {
     if (r->thread.joinable()) r->thread.join();
   }
-  if (appraiser_) appraiser_->finish();
   reactors_.clear();
   listen_fd_.reset();
   started_ = false;
@@ -176,32 +167,6 @@ void AppraiserServer::post(std::size_t reactor_idx, Inbound&& item) {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
       ::write(r.wake.get(), &one, sizeof(one));
-}
-
-void AppraiserServer::on_appraised(const pipeline::EvidenceItem& item,
-                                   pipeline::AppraisedRecord&& rec) {
-  rounds_appraised_.fetch_add(1, std::memory_order_relaxed);
-  PERA_OBS_COUNT("net.server.rounds");
-
-  Inbound out;
-  out.kind = Inbound::Kind::kResult;
-  out.nonce = item.nonce;
-  out.evidence = item.evidence;
-  out.verdict = rec.sig_ok;  // copland::appraise's verdict
-
-  // A round born from a relayed challenge goes back to the relying
-  // party; everything else answers the originating switch session.
-  std::uint64_t dest = item.flow;
-  {
-    const std::lock_guard<std::mutex> lock(route_mu_);
-    const auto it = relay_routes_.find(item.nonce.value);
-    if (it != relay_routes_.end()) {
-      dest = it->second;
-      relay_routes_.erase(it);
-    }
-  }
-  out.token = dest;
-  post(dest >> kTokenReactorShift, std::move(out));
 }
 
 void AppraiserServer::run_reactor(std::size_t idx) {
@@ -316,10 +281,8 @@ void AppraiserServer::drain_inbox(Reactor& r) {
         break;
       case Inbound::Kind::kResult: {
         const auto it = r.conns.find(item.token);
-        if (it == r.conns.end()) break;  // session left before its verdict
-        it->second->session.queue_result(ra::Certificate::issue(
-            config_.appraiser_name, item.nonce, item.evidence, item.verdict,
-            now_ns(), *r.cert_signer));
+        if (it == r.conns.end()) break;  // the relying party left
+        it->second->session.queue_result(item.cert);
         results_sent_.fetch_add(1, std::memory_order_relaxed);
         PERA_OBS_COUNT("net.server.results");
         after_progress(r, *it->second);
@@ -328,6 +291,7 @@ void AppraiserServer::drain_inbox(Reactor& r) {
       case Inbound::Kind::kChallenge: {
         const auto it = r.conns.find(item.token);
         if (it == r.conns.end()) break;
+        it->second->relay_target = true;
         it->second->session.queue_challenge(item.challenge);
         after_progress(r, *it->second);
         break;
@@ -374,15 +338,40 @@ void AppraiserServer::after_progress(Reactor& r, Conn& c) {
   }
   if (c.session.wants_close()) c.closing = true;
 
-  // 2. Evidence rounds -> appraiser rings.
+  // 2. Appraise and certify each evidence round here. A round born from
+  // a relayed challenge goes back to the relying party; everything else
+  // answers this session.
   for (EvidenceRound& round : c.session.take_evidence()) {
     pipeline::EvidenceItem item;
-    item.flow = c.token;
-    item.seq = c.next_seq++;
-    item.shard = 0;
     item.nonce = round.nonce;
     item.evidence = std::move(round.evidence);
-    appraiser_->accept(static_cast<std::uint32_t>(r.idx), std::move(item));
+    const pipeline::AppraisedRecord rec =
+        pipeline::appraise_record(item, *verifiers_);
+    rounds_appraised_.fetch_add(1, std::memory_order_relaxed);
+    PERA_OBS_COUNT("net.server.rounds");
+    ra::Certificate cert = ra::Certificate::issue(
+        kAppraiserName, item.nonce, item.evidence, rec.sig_ok, now_ns(),
+        *r.cert_signer);
+    std::uint64_t relying_party = 0;
+    if (c.relay_target) {
+      const std::lock_guard<std::mutex> lock(route_mu_);
+      const auto it = relay_routes_.find(item.nonce.value);
+      if (it != relay_routes_.end()) {
+        relying_party = it->second;
+        relay_routes_.erase(it);
+      }
+    }
+    if (relying_party != 0) {
+      Inbound out;
+      out.kind = Inbound::Kind::kResult;
+      out.token = relying_party;
+      out.cert = std::move(cert);
+      post(relying_party >> kTokenReactorShift, std::move(out));
+      continue;
+    }
+    c.session.queue_result(cert);
+    results_sent_.fetch_add(1, std::memory_order_relaxed);
+    PERA_OBS_COUNT("net.server.results");
   }
 
   // 3. Challenge relays from relying-party sessions.
@@ -461,6 +450,12 @@ void AppraiserServer::close_conn(Reactor& r, std::uint64_t token) {
       place_index_.erase(pit);
     }
   }
+  // A relying party's challenges that no switch answered die with it.
+  if (c.place_registered && c.session.role() == SessionRole::kRelyingParty) {
+    const std::lock_guard<std::mutex> lock(route_mu_);
+    std::erase_if(relay_routes_,
+                  [token](const auto& route) { return route.second == token; });
+  }
   open_sessions_.fetch_sub(1, std::memory_order_relaxed);
   PERA_OBS_GAUGE("net.server.open",
                  open_sessions_.load(std::memory_order_relaxed));
@@ -476,6 +471,10 @@ ServerStats AppraiserServer::stats() const {
   s.results_sent = results_sent_.load(std::memory_order_relaxed);
   s.challenges_relayed = relayed_.load(std::memory_order_relaxed);
   s.challenges_unrouted = unrouted_.load(std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(route_mu_);
+    s.relay_routes = relay_routes_.size();
+  }
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   s.bytes_out = bytes_out_.load(std::memory_order_relaxed);

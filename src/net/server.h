@@ -3,26 +3,26 @@
 //
 // Architecture (one process):
 //
-//   listen fd ── reactor 0 ──┐                      ┌─ appraiser worker 0
-//                reactor 1 ──┼── per-conn frames ──▶├─ appraiser worker 1
-//                reactor k ──┘   (SPSC rings)       └─ ...
-//        ▲                                               │ record hook
-//        └────────── verdict completions (inbox) ◀───────┘
+//   listen fd ── reactor 0 ──┐  read → frame → appraise → certify → write,
+//                reactor 1 ──┤  all on the reactor that owns the connection
+//                reactor k ──┘
+//                   │  ▲
+//                   └──┘ inboxes: adopted connections, relayed challenges,
+//                        certificates for a relying party on another session
 //
-//  * N single-threaded level-triggered epoll reactors. Reactor 0 owns
-//    the listen socket and deals new connections round-robin; handing a
-//    connection to another reactor goes through that reactor's
-//    mutex-protected inbox plus an eventfd wake. Each connection lives
-//    on exactly one reactor for its whole life, so per-conn state is
-//    single-threaded.
+//  * N single-threaded level-triggered epoll reactors, and no other
+//    server thread. Reactor 0 owns the listen socket and deals new
+//    connections round-robin; handing a connection to another reactor
+//    goes through that reactor's mutex-protected inbox plus an eventfd
+//    wake. Each connection lives on exactly one reactor for its whole
+//    life, so per-conn state is single-threaded.
 //  * Per-connection ServerSession (sans-I/O) does the frame decoding and
-//    RA handshake; the reactor only moves bytes. Decoded evidence rounds
-//    are handed to the shared ParallelAppraiser (reactor index =
-//    producer index, so the hand-off rides the existing SPSC rings), and
-//    the appraiser's streaming record hook routes each verdict back to
-//    the owning reactor's inbox, where the certificate is signed and
-//    queued on the originating session — or on the relying-party session
-//    whose relayed challenge produced the evidence.
+//    RA handshake. The reactor that read an evidence round appraises it
+//    (pipeline::appraise_record against the server's one VerifierSet),
+//    signs its certificate with that reactor's certificate signer and
+//    queues it on the session. Only a round that answers a relayed
+//    challenge leaves the reactor: its finished certificate is posted to
+//    the reactor of the relying-party session that asked for it.
 //  * Each connection moves its bytes through a `Link` (socket.h), the
 //    driver every endpoint shares: session output is queued as chunks
 //    and flushed with writev; reads run until the socket drains. A
@@ -44,15 +44,15 @@
 #include "crypto/signer.h"
 #include "net/session.h"
 #include "net/socket.h"
-#include "pipeline/appraiser.h"
+#include "pipeline/reassembler.h"
 
 namespace pera::net {
 
 struct ServerConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; see AppraiserServer::port()
   std::size_t reactors = 1;
+  /// Ignored: the reactors appraise. Kept so existing callers compile.
   std::size_t appraiser_workers = 1;
-  std::string appraiser_name = "appraiser";
   std::uint64_t nonce_seed = 0xC0C0'0001;
 
   /// Evidence verification: derived device keys shared with the fleet
@@ -60,8 +60,6 @@ struct ServerConfig {
   crypto::Digest evidence_root_key{};
   std::string evidence_key_label = "pera.net.device";
   std::size_t evidence_max_shards = 16;
-  crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
-  unsigned xmss_height = 8;
 
   /// Handshake: per-place quote keys derive from quote_root_key
   /// (derive_quote_key); a quote is good when its signature verifies
@@ -89,6 +87,8 @@ struct ServerStats {
   std::uint64_t results_sent = 0;
   std::uint64_t challenges_relayed = 0;
   std::uint64_t challenges_unrouted = 0;
+  /// Relayed challenges still awaiting the switch's answer.
+  std::uint64_t relay_routes = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -111,7 +111,7 @@ class AppraiserServer {
   AppraiserServer(const AppraiserServer&) = delete;
   AppraiserServer& operator=(const AppraiserServer&) = delete;
 
-  /// Bind, provision the appraiser workers, spawn the reactors. Throws
+  /// Bind, provision the verifiers, spawn the reactors. Throws
   /// std::runtime_error when the listen socket cannot be created.
   void start();
 
@@ -142,8 +142,6 @@ class AppraiserServer {
   void update_interest(Reactor& r, Conn& c);
   void close_conn(Reactor& r, std::uint64_t token);
   void post(std::size_t reactor_idx, Inbound&& item);
-  void on_appraised(const pipeline::EvidenceItem& item,
-                    pipeline::AppraisedRecord&& rec);
   [[nodiscard]] RejectReason check_quote(const Quote& q) const;
 
   static constexpr std::uint64_t kListenToken = ~0ULL;
@@ -153,7 +151,7 @@ class AppraiserServer {
   ServerConfig config_;
   ServerSessionConfig session_config_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::unique_ptr<pipeline::ParallelAppraiser> appraiser_;
+  std::unique_ptr<pipeline::VerifierSet> verifiers_;
   Fd listen_fd_;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

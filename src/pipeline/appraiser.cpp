@@ -62,13 +62,9 @@ bool ParallelAppraiser::accept(std::uint32_t producer, EvidenceItem&& item) {
 
 void ParallelAppraiser::appraise(WorkerState& state, const EvidenceItem& item) {
   prof::enter(prof::Stage::kWotsVerify);
-  AppraisedRecord rec = appraise_record(item, verifiers_);
+  const AppraisedRecord rec = appraise_record(item, verifiers_);
   prof::enter(prof::Stage::kReassembly);
-  if (options_.record_hook) {
-    options_.record_hook(item, std::move(rec));
-  } else {
-    state.flows.try_emplace(item.flow, options_.mode).first->second.add(rec);
-  }
+  state.flows.try_emplace(item.flow, options_.mode).first->second.add(rec);
   ++state.records;
 }
 

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <thread>
@@ -50,13 +49,6 @@ struct AppraiserOptions {
   unsigned xmss_height = 8;
   /// Pin worker i to core pin_base + i (affinity.h); < 0 = no pinning.
   int pin_base = -1;
-  /// Streaming mode: when set, each appraised record is handed to this
-  /// hook on the worker thread instead of being folded into its flow's
-  /// transcript. This is the long-running-server path — verdicts go
-  /// out per round, so per-flow state must not accumulate and finish()
-  /// yields an empty verdict map. The hook may be called concurrently
-  /// from different workers (never twice concurrently for one flow).
-  std::function<void(const EvidenceItem&, AppraisedRecord&&)> record_hook;
 };
 
 class ParallelAppraiser final : public EvidenceSink {

@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -512,7 +511,6 @@ struct E2eKeys {
   [[nodiscard]] net::ServerConfig server_config() const {
     net::ServerConfig sc;
     sc.reactors = 2;
-    sc.appraiser_workers = 1;
     sc.quote_root_key = quote_root;
     sc.golden_measurement = golden;
     sc.evidence_root_key = evidence_root;
@@ -1007,6 +1005,43 @@ TEST(NetRelay, TransportRoundOverSocketBackendCompletes) {
   EXPECT_GE(st.challenges_unrouted, 1u);
 }
 
+// A relying party relays a challenge to a switch that is connected but
+// never answers, then hangs up. The route waiting for the switch's answer
+// must go with the relying party, or every such relay leaks an entry.
+TEST(NetRelay, RoutesOfAClosedRelyingPartyAreDropped) {
+  E2eKeys keys;
+  net::AppraiserServer server(keys.server_config());
+  server.start();
+
+  net::SwitchClient sw(keys.identity("sw0", 0xE2E'0501));
+  ASSERT_TRUE(sw.connect(server.port(), 2000)) << sw.error_text();
+
+  net::ClientSessionConfig rc;
+  rc.place = "rp";
+  rc.role = net::SessionRole::kRelyingParty;
+  net::ClientSession rp(std::move(rc), nonce_of(0xE2E'0502));
+  net::Link link;
+  std::string error;
+  ASSERT_TRUE(net::connect_session(link, rp, server.port(), 2000, error))
+      << error;
+  core::Challenge ch;
+  ch.nonce = nonce_of(0xE2E'0503);
+  rp.send_challenge("sw0", ch);
+  ASSERT_TRUE(net::flush_session(link, rp, net::deadline_after_ms(2000),
+                                 error))
+      << error;
+  ASSERT_TRUE(wait_until(
+      [&] { return server.stats().challenges_relayed == 1; }, 5000));
+  EXPECT_EQ(server.stats().relay_routes, 1u);
+
+  link.close();
+  ASSERT_TRUE(wait_until(
+      [&] { return server.stats().sessions_open == 1; }, 5000));
+  EXPECT_EQ(server.stats().relay_routes, 0u);
+  sw.close();
+  server.stop();
+}
+
 // ------------------------------------------- Sim-vs-Socket verdict parity --
 
 // One appraisal core on every path: the same evidence bytes, sent under
@@ -1043,18 +1078,12 @@ std::vector<ParityCase> parity_cases(const E2eKeys& keys) {
 }
 
 // Pipeline path: each payload streamed through a ParallelAppraiser exactly
-// as the pipeline hands evidence over.
+// as the pipeline hands evidence over, one flow per payload.
 std::vector<bool> pipeline_verdicts(const E2eKeys& keys,
                                     const std::vector<ParityCase>& cases) {
   std::vector<bool> verdicts(cases.size(), false);
   pipeline::AppraiserOptions opts;
   opts.workers = 1;
-  std::mutex mu;
-  opts.record_hook = [&](const pipeline::EvidenceItem& item,
-                         pipeline::AppraisedRecord&& rec) {
-    const std::lock_guard<std::mutex> lock(mu);
-    verdicts[item.flow] = rec.decoded && rec.sig_ok;
-  };
   pipeline::ParallelAppraiser app(keys.evidence_root, "pera.net.device", 16,
                                   opts);
   app.start(1);
@@ -1067,6 +1096,9 @@ std::vector<bool> pipeline_verdicts(const E2eKeys& keys,
     EXPECT_TRUE(app.accept(0, std::move(item)));
   }
   app.finish();
+  for (const auto& [flow, verdict] : app.verdicts()) {
+    verdicts[flow] = verdict.records == 1 && verdict.ok;
+  }
   return verdicts;
 }
 

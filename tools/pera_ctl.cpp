@@ -36,6 +36,10 @@ struct Options {
   std::int64_t duration_ms = 10000;
 };
 
+constexpr const char* kUsage =
+    "usage: pera_ctl [--seed=N] [--loss=P] [--interval-ms=N]\n"
+    "                [--swap-at-ms=N] [--restore-at-ms=N] [--duration-ms=N]\n";
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -51,12 +55,12 @@ Options parse(int argc, char** argv) {
     else if (const auto v = num("--restore-at-ms=")) o.restore_at_ms = static_cast<std::int64_t>(*v);
     else if (const auto v = num("--duration-ms=")) o.duration_ms = static_cast<std::int64_t>(*v);
     else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: pera_ctl [--seed=N] [--loss=P] [--interval-ms=N]\n"
-          "                [--swap-at-ms=N] [--restore-at-ms=N] [--duration-ms=N]\n");
+      std::printf("%s", kUsage);
       std::exit(0);
+    } else {
+      std::fprintf(stderr, "pera_ctl: unknown flag %s\n%s", arg.c_str(), kUsage);
+      std::exit(2);
     }
-    // Unknown flags are ignored so harness-wide flag sweeps don't break us.
   }
   return o;
 }

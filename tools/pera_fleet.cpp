@@ -44,6 +44,11 @@ struct Options {
   std::int64_t duration_ms = 1200;
 };
 
+constexpr const char* kUsage =
+    "usage: pera_fleet [--seed=N] [--loss=P] [--switches=N] [--fanout=N]\n"
+    "                  [--wave-ms=N] [--swap-at-ms=N] [--forge-at-ms=N]\n"
+    "                  [--duration-ms=N]\n";
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -61,13 +66,12 @@ Options parse(int argc, char** argv) {
     else if (const auto v = num("--forge-at-ms=")) o.forge_at_ms = static_cast<std::int64_t>(*v);
     else if (const auto v = num("--duration-ms=")) o.duration_ms = static_cast<std::int64_t>(*v);
     else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: pera_fleet [--seed=N] [--loss=P] [--switches=N] [--fanout=N]\n"
-          "                  [--wave-ms=N] [--swap-at-ms=N] [--forge-at-ms=N]\n"
-          "                  [--duration-ms=N]\n");
+      std::printf("%s", kUsage);
       std::exit(0);
+    } else {
+      std::fprintf(stderr, "pera_fleet: unknown flag %s\n%s", arg.c_str(), kUsage);
+      std::exit(2);
     }
-    // Unknown flags are ignored so harness-wide flag sweeps don't break us.
   }
   return o;
 }
