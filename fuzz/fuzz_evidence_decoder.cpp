@@ -9,16 +9,20 @@
 // Differential: copland::appraise's walk over the bytes must agree with
 // decode() plus the reference tree walk (tests/reference_appraisal.h) on
 // the verdict, the finding kinds, the counts and the content digest, and
-// must report kMalformed exactly when decode() throws. Both appraise under
-// the reference's fixed HMAC/XMSS keys, goldens and nonce; a disagreement
-// aborts.
+// must report kMalformed exactly when decode() throws. On bytes that
+// decode, the walk's report must match the reference tree walks too: the
+// hops PathVerifier reads from it, the measurements, the required-pair and
+// signed-place answers, the fleet measurement root and the nonces. Both
+// appraise under the reference's fixed HMAC/XMSS keys, goldens and nonce;
+// a disagreement aborts.
 //
 // Built by -DPERA_FUZZ=ON: with libFuzzer under clang, or with the
 // standalone replay/mutation driver (standalone_driver.cpp) elsewhere.
 // Seed corpus: tests/fixtures/fuzz/*.bin (genuine serialized messages,
 // plus evidence_deep_seq.bin: 100 KB of nested seq tags, and
 // evidence_batched.bin: a Merkle-batched record signed by the reference's
-// sw2 key).
+// sw2 key, and evidence_nested.bin: an unnamed sw1 signature over a nested
+// sw2 signature, beside stray unsigned measurements).
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -61,10 +65,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   decode_or_reject([&] { return crypto::XmssSignature::deserialize(view); });
 
   static reference::AppraisalSetup setup;
+  copland::AppraisalReport report;
   const copland::AppraisalResult walk =
-      copland::appraise(view, &setup.goldens, setup.keys, setup.nonce);
+      copland::appraise(view, &setup.goldens, setup.keys, setup.nonce, &report);
   const copland::AppraisalResult ref =
       reference::appraise(view, &setup.goldens, setup.keys, setup.nonce);
   if (!reference::difference(walk, ref).empty()) std::abort();
+  if (walk.decoded &&
+      !reference::report_difference(view, report, setup.goldens, setup.keys)
+           .empty()) {
+    std::abort();
+  }
   return 0;
 }

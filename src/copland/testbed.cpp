@@ -1,5 +1,6 @@
 #include "copland/testbed.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "copland/pretty.h"
@@ -224,6 +225,25 @@ std::string to_string(AppraisalFinding::Kind k) {
   return "?";
 }
 
+bool AppraisalReport::measured(std::string_view place,
+                               std::string_view target) const {
+  return std::any_of(measurements.begin(), measurements.end(),
+                     [&](const Measurement& m) {
+                       return m.place == place && m.target == target;
+                     });
+}
+
+bool AppraisalReport::signed_place(std::string_view place) const {
+  return std::any_of(hops.begin(), hops.end(),
+                     [&](const Hop& h) {
+                       return h.is_signature && h.place == place;
+                     }) ||
+         std::any_of(measurements.begin(), measurements.end(),
+                     [&](const Measurement& m) {
+                       return m.place == place && hops[m.hop].is_signature;
+                     });
+}
+
 namespace {
 
 // The appraisal walk: one bounded pass over the encoding, in pre-order,
@@ -232,13 +252,15 @@ class AppraisalWalk {
  public:
   AppraisalWalk(crypto::BytesView input, const Goldens* goldens,
                 const crypto::VerifierLookup& keys,
-                const crypto::Nonce& round_nonce, std::size_t max_depth)
+                const crypto::Nonce& round_nonce, std::size_t max_depth,
+                AppraisalReport* report)
       : input_(input),
         r_(input, "evidence decode"),
         goldens_(goldens),
         keys_(keys),
         round_nonce_(round_nonce),
-        max_depth_(max_depth) {}
+        max_depth_(max_depth),
+        report_(report) {}
 
   AppraisalResult run() {
     node(1);
@@ -270,11 +292,15 @@ class AppraisalWalk {
         const Digest value = r_.digest();
         (void)str();  // claim
         if (goldens_ != nullptr) measurement(place, target, value);
+        if (report_ != nullptr) report_measurement(place, target, value);
         return;
       }
-      case EvidenceKind::kNonce:
-        nonce_seen_ = r_.digest() == round_nonce_.value || nonce_seen_;
+      case EvidenceKind::kNonce: {
+        const Digest nonce = r_.digest();
+        nonce_seen_ = nonce == round_nonce_.value || nonce_seen_;
+        if (report_ != nullptr) report_->nonces.push_back({nonce});
         return;
+      }
       case EvidenceKind::kSignature: {
         const std::string_view place = str();
         const crypto::Signature sig = crypto::Signature::deserialize(r_.blob());
@@ -282,12 +308,17 @@ class AppraisalWalk {
         // child's findings.
         const bool top = res_.signatures_checked++ == 0;
         const std::size_t finding_at = res_.findings.size();
+        const std::size_t first_measurement =
+            report_ != nullptr ? report_->measurements.size() : 0;
         const std::size_t begin = offset();
+        ++open_signatures_;
         node(depth + 1);
+        --open_signatures_;
         const Digest content =
             crypto::sha256(input_.subspan(begin, offset() - begin));
         if (top) res_.content_digest = content;
-        signature(place, sig, content, finding_at);
+        const bool ok = signature(place, sig, content, finding_at);
+        if (report_ != nullptr) report_hop(place, ok, first_measurement);
         return;
       }
       case EvidenceKind::kHashed:
@@ -323,7 +354,35 @@ class AppraisalWalk {
     }
   }
 
-  void signature(std::string_view place, const crypto::Signature& sig,
+  // Records a measurement. One no signature covers is a hop of its own;
+  // a covered one waits for its innermost signature's hop (kPending).
+  void report_measurement(std::string_view place, std::string_view target,
+                          const Digest& value) {
+    std::size_t hop = kPending;
+    if (open_signatures_ == 0) {
+      hop = report_->hops.size();
+      report_->hops.push_back({std::string(place), false, false});
+    }
+    report_->measurements.push_back(
+        {std::string(place), std::string(target), value, hop});
+  }
+
+  // Emits a signature's hop after its child's (post-order) and gives it
+  // the measurements under it that no inner signature has claimed.
+  void report_hop(std::string_view place, bool ok,
+                  std::size_t first_measurement) {
+    const std::size_t hop = report_->hops.size();
+    report_->hops.push_back({std::string(place), true, ok});
+    for (std::size_t i = first_measurement; i < report_->measurements.size();
+         ++i) {
+      if (report_->measurements[i].hop == kPending) {
+        report_->measurements[i].hop = hop;
+      }
+    }
+  }
+
+  // Whether the signature verified; records the finding when not.
+  bool signature(std::string_view place, const crypto::Signature& sig,
                  const Digest& content, std::size_t finding_at) {
     const crypto::Verifier* v = keys_.verifier_by_key_id(sig.key_id);
     AppraisalFinding f;
@@ -334,12 +393,13 @@ class AppraisalWalk {
       f = {AppraisalFinding::Kind::kBadSignature, std::string(place),
            "signature by " + std::string(place) + " does not verify"};
     } else {
-      return;
+      return true;
     }
     res_.ok = false;
     res_.findings.insert(
         res_.findings.begin() + static_cast<std::ptrdiff_t>(finding_at),
         std::move(f));
+    return false;
   }
 
   std::string_view str() {
@@ -349,23 +409,31 @@ class AppraisalWalk {
 
   std::size_t offset() const { return input_.size() - r_.remaining(); }
 
+  static constexpr std::size_t kPending = static_cast<std::size_t>(-1);
+
   crypto::BytesView input_;
   crypto::ByteReader r_;
   const Goldens* goldens_;
   const crypto::VerifierLookup& keys_;
   const crypto::Nonce& round_nonce_;
   std::size_t max_depth_;
+  AppraisalReport* report_;
   AppraisalResult res_;
   bool nonce_seen_ = false;
+  std::size_t open_signatures_ = 0;
 };
 
 AppraisalResult walk(crypto::BytesView evidence, const Goldens* goldens,
                      const crypto::VerifierLookup& keys,
-                     const crypto::Nonce& round_nonce, std::size_t max_depth) {
+                     const crypto::Nonce& round_nonce, std::size_t max_depth,
+                     AppraisalReport* report) {
+  if (report != nullptr) *report = {};
   try {
-    return AppraisalWalk(evidence, goldens, keys, round_nonce, max_depth)
+    return AppraisalWalk(evidence, goldens, keys, round_nonce, max_depth,
+                         report)
         .run();
   } catch (const std::invalid_argument& e) {
+    if (report != nullptr) *report = {};
     AppraisalResult res;
     res.add({AppraisalFinding::Kind::kMalformed, "", e.what()});
     return res;
@@ -376,16 +444,21 @@ AppraisalResult walk(crypto::BytesView evidence, const Goldens* goldens,
 
 AppraisalResult appraise(crypto::BytesView evidence, const Goldens* goldens,
                          const crypto::VerifierLookup& keys,
-                         const crypto::Nonce& round_nonce) {
-  return walk(evidence, goldens, keys, round_nonce, kMaxEvidenceDepth);
+                         const crypto::Nonce& round_nonce,
+                         AppraisalReport* report) {
+  return walk(evidence, goldens, keys, round_nonce, kMaxEvidenceDepth, report);
 }
 
 AppraisalResult appraise(const EvidencePtr& evidence, const Goldens* goldens,
                          const crypto::VerifierLookup& keys,
-                         const crypto::Nonce& round_nonce) {
-  if (!evidence) return appraise(crypto::BytesView{}, goldens, keys, round_nonce);
+                         const crypto::Nonce& round_nonce,
+                         AppraisalReport* report) {
+  if (!evidence) {
+    return appraise(crypto::BytesView{}, goldens, keys, round_nonce, report);
+  }
   const crypto::Bytes bytes = encode(evidence);
-  return walk(bytes, goldens, keys, round_nonce, static_cast<std::size_t>(-1));
+  return walk(bytes, goldens, keys, round_nonce, static_cast<std::size_t>(-1),
+              report);
 }
 
 }  // namespace pera::copland

@@ -147,6 +147,37 @@ struct AppraisalResult {
   }
 };
 
+/// What one appraisal walk read, for the callers that ask: the hops of a
+/// path, the measurements behind a requirement or a fleet fingerprint,
+/// and the nonces.
+struct AppraisalReport {
+  /// A signature, or a measurement no signature covers (a hop of its
+  /// own), in post-order: a signature follows every hop inside it.
+  struct Hop {
+    std::string place;  // the signature's place; a stray measurement's
+    bool is_signature = false;
+    bool signature_ok = false;  // a signature that verified
+  };
+  struct Measurement {
+    std::string place;
+    std::string target;
+    crypto::Digest value;
+    /// Index in `hops`: the innermost signature covering it, or its own
+    /// hop when none does.
+    std::size_t hop = 0;
+  };
+  std::vector<Hop> hops;
+  std::vector<Measurement> measurements;  // pre-order
+  std::vector<crypto::Nonce> nonces;      // pre-order
+
+  /// Some measurement of (place, target) appears.
+  [[nodiscard]] bool measured(std::string_view place,
+                              std::string_view target) const;
+  /// A signature names `place`, or covers one of its measurements. Whether
+  /// that signature verified is the verdict's business, not this answer's.
+  [[nodiscard]] bool signed_place(std::string_view place) const;
+};
+
 /// The appraisal core, the one verdict function on every path. One walk
 /// over the canonical encoding checks that every signature verifies under
 /// a key `keys` resolves by key id, that measurements match `goldens` when
@@ -155,16 +186,20 @@ struct AppraisalResult {
 /// contiguous span of the pre-order encoding, and since the codec is
 /// canonical that span is the child's encoding, so it is hashed in place.
 /// Bytes that decode() would reject fail with a single kMalformed finding
-/// instead of throwing.
+/// instead of throwing. With a non-null `report`, the walk also fills it
+/// (left empty when the bytes do not decode); without one it allocates
+/// nothing for it.
 [[nodiscard]] AppraisalResult appraise(
     crypto::BytesView evidence, const Goldens* goldens,
-    const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {});
+    const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {},
+    AppraisalReport* report = nullptr);
 
 /// The same over a tree: encodes it once and walks the bytes (with no
 /// depth budget, as the tree is already in memory).
 [[nodiscard]] AppraisalResult appraise(
     const EvidencePtr& evidence, const Goldens* goldens,
-    const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {});
+    const crypto::VerifierLookup& keys, const crypto::Nonce& round_nonce = {},
+    AppraisalReport* report = nullptr);
 
 [[nodiscard]] std::string to_string(AppraisalFinding::Kind k);
 

@@ -4,8 +4,6 @@
 
 namespace pera::core {
 
-using copland::Evidence;
-using copland::EvidenceKind;
 using copland::EvidencePtr;
 
 std::vector<std::string> PathVerdict::places() const {
@@ -15,60 +13,21 @@ std::vector<std::string> PathVerdict::places() const {
   return out;
 }
 
-namespace {
-
-// Walk evidence in order, grouping measurements under the signature that
-// covers them into per-place hops.
-void collect_hops(const EvidencePtr& e, const crypto::KeyStore& keys,
-                  std::vector<AttestedHop>& hops,
-                  AttestedHop* current) {
-  if (!e) return;
-  switch (e->kind) {
-    case EvidenceKind::kSignature: {
-      AttestedHop hop;
-      hop.place = e->place;
-      const crypto::Verifier* v = keys.verifier_by_key_id(e->sig.key_id);
-      hop.signature_ok =
-          v != nullptr &&
-          crypto::verify_any(*v, copland::digest(e->child), e->sig);
-      collect_hops(e->child, keys, hops, &hop);
-      hops.push_back(std::move(hop));
-      return;
-    }
-    case EvidenceKind::kMeasurement:
-      if (current != nullptr) {
-        current->measurements[e->target] = e->value;
-        if (current->place.empty()) current->place = e->place;
-      } else {
-        // Unsigned stray measurement: record as its own (unverified) hop.
-        AttestedHop hop;
-        hop.place = e->place;
-        hop.measurements[e->target] = e->value;
-        hop.signature_ok = false;
-        hops.push_back(std::move(hop));
-      }
-      return;
-    case EvidenceKind::kSeq:
-    case EvidenceKind::kPar:
-      collect_hops(e->left, keys, hops, current);
-      collect_hops(e->right, keys, hops, current);
-      return;
-    case EvidenceKind::kFuncOut:
-    case EvidenceKind::kHashed:
-      collect_hops(e->child, keys, hops, current);
-      return;
-    case EvidenceKind::kEmpty:
-    case EvidenceKind::kNonce:
-      return;
-  }
-}
-
-}  // namespace
-
 PathVerdict PathVerifier::verify(const EvidencePtr& evidence) const {
   PathVerdict v;
-  v.appraisal = copland::appraise(evidence, goldens_, *keys_);
-  collect_hops(evidence, *keys_, v.hops, nullptr);
+  copland::AppraisalReport report;
+  v.appraisal = copland::appraise(evidence, goldens_, *keys_, {}, &report);
+  v.hops.reserve(report.hops.size());
+  for (const auto& h : report.hops) {
+    v.hops.push_back({h.place, {}, h.signature_ok});
+  }
+  // A hop holds the measurements whose innermost signature it is; an
+  // unnamed signature takes its first measurement's place.
+  for (const auto& m : report.measurements) {
+    AttestedHop& hop = v.hops[m.hop];
+    if (hop.place.empty()) hop.place = m.place;
+    hop.measurements[m.target] = m.value;
+  }
   v.all_signatures_ok =
       !v.hops.empty() &&
       std::all_of(v.hops.begin(), v.hops.end(),

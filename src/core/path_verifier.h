@@ -1,11 +1,16 @@
 // Path-evidence verification — the consumer side of UC2 (authentication)
 // and UC3 (authorization tags).
 //
-// Given the composite evidence a flow accumulated, PathVerifier extracts
-// the attested (place, program) sequence, verifies every signature and
-// measurement, and answers policy questions such as "did this flow cross
-// firewall_v5 and the DPI appliance, in that order?" — the FlowTags-style
-// decisions of UC3 and the path-as-auth-factor of UC2.
+// Given the composite evidence a flow accumulated, PathVerifier appraises
+// it once (copland::appraise, which verifies every signature and
+// measurement) and reads the attested (place, program) sequence from that
+// walk's report: one hop per signature, in post-order, holding the
+// measurements whose innermost signature it is, plus one unverified hop
+// per measurement no signature covers. It then answers policy questions
+// such as "did this flow cross firewall_v5 and the DPI appliance, in that
+// order?" — the FlowTags-style decisions of UC3 and the path-as-auth-factor
+// of UC2. A hop's place is the place string its signature names; binding
+// it to the signing key's owner is still open.
 #pragma once
 
 #include <map>

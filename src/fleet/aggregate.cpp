@@ -19,6 +19,13 @@ constexpr std::size_t kMaxEntries = 1 << 20;    // members per aggregate
 constexpr std::size_t kMaxEvidence = 1 << 20;   // carried evidence bytes
 constexpr std::size_t kMaxSig = 1 << 16;
 
+// A lookup that knows no key: an appraisal under it verifies nothing.
+struct NoKeys final : crypto::VerifierLookup {
+  const crypto::Verifier* verifier_by_key_id(const Digest&) const override {
+    return nullptr;
+  }
+};
+
 }  // namespace
 
 const char* to_string(EntryOutcome o) {
@@ -161,14 +168,13 @@ crypto::Nonce derive_member_nonce(const crypto::Nonce& wave_nonce,
   return crypto::Nonce{h.finish()};
 }
 
-Digest measurement_root_of(const copland::EvidencePtr& evidence) {
-  const auto ms = copland::measurements_of(evidence);
-  if (ms.empty()) return Digest{};
+Digest measurement_root_of(const copland::AppraisalReport& report) {
+  if (report.measurements.empty()) return Digest{};
   crypto::Sha256 h;
   h.update("pera.fleet.measurements.v1");
-  for (const auto* m : ms) {
-    h.update(m->target);
-    h.update(m->value);
+  for (const auto& m : report.measurements) {
+    h.update(m.target);
+    h.update(m.value);
   }
   return h.finish();
 }
@@ -285,9 +291,12 @@ AggregateCheck verify_aggregate(
   crypto::IncrementalMerkleTree recompute(std::move(leaves));
   if (recompute.root() != agg.merkle_root) return fail("merkle root mismatch");
 
-  // Deterministic freshness pass over every carried evidence blob: decode,
-  // digest check, and derived-nonce binding. A regional replaying an old
-  // wave's evidence fails here on every aggregate, not only when audited.
+  // Deterministic freshness pass over every carried evidence blob: one
+  // appraisal walk, digest check, and derived-nonce binding. A regional
+  // replaying an old wave's evidence fails here on every aggregate, not
+  // only when audited. The pass reads structure and nonces only, so the
+  // walk resolves no key and its signature findings are ignored.
+  const NoKeys no_keys;
   struct Decoded {
     std::size_t index;
     crypto::Nonce nonce;
@@ -302,28 +311,24 @@ AggregateCheck verify_aggregate(
       }
       continue;
     }
-    copland::EvidencePtr ev;
-    try {
-      ev = copland::decode(BytesView{e.evidence.data(), e.evidence.size()});
-    } catch (const std::exception&) {
+    const BytesView bytes{e.evidence.data(), e.evidence.size()};
+    copland::AppraisalReport report;
+    if (!copland::appraise(bytes, nullptr, no_keys, {}, &report).decoded) {
       out.blamed.push_back(e.place);
       return fail("undecodable evidence: " + e.place);
     }
-    if (copland::digest(ev) != e.evidence_digest) {
+    if (crypto::sha256(bytes) != e.evidence_digest) {
       out.blamed.push_back(e.place);
       return fail("evidence digest mismatch: " + e.place);
     }
     const std::uint32_t tries =
         std::min(std::max(e.attempts, std::uint32_t{1}), opts.max_attempts);
     std::optional<crypto::Nonce> matched;
-    const auto nonce_nodes = copland::nonces_of(ev);
     for (std::uint32_t a = 1; a <= tries && !matched; ++a) {
       const crypto::Nonce want = derive_member_nonce(expected_nonce, e.place, a);
-      for (const auto* n : nonce_nodes) {
-        if (n->nonce == want) {
-          matched = want;
-          break;
-        }
+      if (std::find(report.nonces.begin(), report.nonces.end(), want) !=
+          report.nonces.end()) {
+        matched = want;
       }
     }
     if (!matched) {

@@ -110,11 +110,11 @@ struct WaveCommand {
                                                 const std::string& place,
                                                 std::uint64_t attempt);
 
-/// Digest over the measurement values of `evidence` in pre-order (zero
-/// when it has none) — the nonce-independent state fingerprint leaves are
-/// built from.
+/// Digest over the measurements an appraisal walk read, in pre-order (zero
+/// when there are none) — the nonce-independent state fingerprint leaves
+/// are built from.
 [[nodiscard]] crypto::Digest measurement_root_of(
-    const copland::EvidencePtr& evidence);
+    const copland::AppraisalReport& report);
 
 /// Render an aggregate as a Copland evidence term: the regional's
 /// signature over seq(wave nonce, canonical par-fold of the per-member

@@ -44,14 +44,16 @@ RegionalNode::RegionalNode(core::Deployment& dep, const std::string& place,
 
 void RegionalNode::sync_reference_values() {
   // The delegated appraiser judges with the root's reference values: a
-  // copy of the goldens (and policy) provisioned out-of-band. Re-synced
-  // at every wave command so goldens provisioned or rotated after this
-  // node was built still reach the delegated tier.
+  // copy of the goldens (and required measurements) provisioned
+  // out-of-band. Re-synced at every wave command so goldens provisioned
+  // or rotated after this node was built still reach the delegated tier.
   ra::Appraiser& root = dep_->appraiser().appraiser();
   for (const auto& [cid, golden] : root.goldens()) {
     appraiser_.set_golden(cid.first, cid.second, golden);
   }
-  if (root.policy()) appraiser_.set_policy(*root.policy());
+  for (const auto& [place, targets] : root.requirements()) {
+    for (const auto& target : targets) appraiser_.require(place, target);
+  }
 }
 
 RegionalNode::~RegionalNode() {
@@ -240,9 +242,10 @@ void RegionalNode::handle_evidence(netsim::Network& net,
     return;
   }
   const auto now = static_cast<std::int64_t>(net.now());
+  copland::AppraisalReport report;
   const ra::AttestationResult res =
       appraiser_.appraise(em.evidence, em.nonce, /*certify=*/false, now,
-                          /*enforce_freshness=*/true);
+                          /*enforce_freshness=*/true, &report);
   crypto::Signer* signer = dep_->keys().signer_for(place_);
   if (signer == nullptr) return;
   const ra::Certificate cert = ra::Certificate::issue(
@@ -251,12 +254,8 @@ void RegionalNode::handle_evidence(netsim::Network& net,
   // Stash the raw evidence under the result's nonce BEFORE feeding the
   // transport: on_result completes the round synchronously, and the
   // completion handler recovers the evidence for the aggregate entry.
-  stash_[em.nonce.value] = Appraised{
-      em.evidence, cert.evidence_digest,
-      res.detail.decoded
-          ? measurement_root_of(copland::decode(crypto::BytesView{
-                em.evidence.data(), em.evidence.size()}))
-          : crypto::Digest{}};
+  stash_[em.nonce.value] = Appraised{em.evidence, cert.evidence_digest,
+                                     measurement_root_of(report)};
   transport_.on_result(cert, net.now());
   stash_.erase(em.nonce.value);
 }

@@ -62,6 +62,13 @@ void Appraiser::set_golden(const std::string& place, const std::string& target,
   goldens_[copland::ComponentId{place, target}] = value;
 }
 
+void Appraiser::require(const std::string& place, const std::string& target) {
+  std::vector<std::string>& targets = required_[place];
+  if (std::find(targets.begin(), targets.end(), target) == targets.end()) {
+    targets.push_back(target);
+  }
+}
+
 bool Appraiser::accept_endorsement(const Endorsement& endorsement,
                                    const std::string& pin_place) {
   const crypto::Verifier* v = keys_->verifier_for(endorsement.endorser);
@@ -76,12 +83,16 @@ bool Appraiser::accept_endorsement(const Endorsement& endorsement,
 AttestationResult Appraiser::appraise(
     crypto::BytesView evidence,
     const std::optional<crypto::Nonce>& expected_nonce, bool certify,
-    std::int64_t now, bool enforce_freshness) {
+    std::int64_t now, bool enforce_freshness,
+    copland::AppraisalReport* report) {
   ++appraisal_count_;
   obs::ScopedSpan span(obs::SpanKind::kAppraise, name_);
   const crypto::Nonce nonce = expected_nonce.value_or(crypto::Nonce{});
+  copland::AppraisalReport own;
+  if (report == nullptr && !required_.empty()) report = &own;
   AttestationResult result;
-  result.detail = copland::appraise(evidence, &goldens_, *keys_, nonce);
+  result.detail =
+      copland::appraise(evidence, &goldens_, *keys_, nonce, report);
 
   // Nonce replay detection: the same nonce may only be appraised once.
   if (enforce_freshness && !nonce.value.is_zero() && result.detail.ok) {
@@ -94,14 +105,21 @@ AttestationResult Appraiser::appraise(
     }
   }
 
-  // Declarative coverage policy: required targets / vetted versions. The
-  // core builds no tree, so the policy decodes its own.
-  if (policy_ && result.detail.decoded) {
-    const PolicyVerdict pv = policy_->evaluate(copland::decode(evidence));
-    if (!pv.ok) {
-      for (const auto& f : pv.findings) {
+  // Required coverage, answered from what the walk read.
+  if (result.detail.decoded) {
+    for (const auto& [place, targets] : required_) {
+      for (const auto& target : targets) {
+        if (!report->measured(place, target)) {
+          result.detail.add({copland::AppraisalFinding::Kind::kBadMeasurement,
+                             place,
+                             "policy: missing required measurement of " +
+                                 target});
+        }
+      }
+      if (!report->signed_place(place)) {
         result.detail.add({copland::AppraisalFinding::Kind::kBadMeasurement,
-                           f.place, "policy: " + f.detail});
+                           place,
+                           "policy: evidence from this place is not signed"});
       }
     }
   }

@@ -17,7 +17,6 @@
 #include "copland/testbed.h"
 #include "crypto/keystore.h"
 #include "crypto/nonce.h"
-#include "ra/appraisal_policy.h"
 #include "ra/certificate.h"
 #include "ra/endorsement.h"
 
@@ -96,14 +95,15 @@ class Appraiser {
   bool accept_endorsement(const Endorsement& endorsement,
                           const std::string& pin_place = "");
 
-  /// Require evidence to additionally satisfy a declarative policy
-  /// (required targets per place, vetted-version allow-lists, ...). The
-  /// policy's findings are folded into the appraisal verdict — this is
-  /// what defeats challenge-downgrade attacks: evidence that omits a
-  /// required measurement fails even if everything present is genuine.
-  void set_policy(AppraisalPolicy policy) { policy_ = std::move(policy); }
-  [[nodiscard]] const std::optional<AppraisalPolicy>& policy() const {
-    return policy_;
+  /// Require every appraised record to carry a measurement of `target`
+  /// from `place`, with `place` signed (AppraisalReport::signed_place).
+  /// This is what defeats challenge-downgrade attacks: evidence that omits
+  /// a required measurement fails even if everything present is genuine.
+  void require(const std::string& place, const std::string& target);
+  /// Required targets by place, in the order they were first required.
+  [[nodiscard]] const std::map<std::string, std::vector<std::string>>&
+  requirements() const {
+    return required_;
   }
 
   /// Appraise evidence, given as its canonical encoding (bytes that do
@@ -113,12 +113,14 @@ class Appraiser {
   /// deliberately covers many packets — that is what enables caching).
   /// When `certify` is true and the appraiser's place has a signer, a
   /// Certificate is issued and stored under the nonce (expressions
-  /// (3)/(4) "certify -> store").
+  /// (3)/(4) "certify -> store"). A non-null `report` receives what the
+  /// appraisal walk read (copland::appraise).
   [[nodiscard]] AttestationResult appraise(
       crypto::BytesView evidence,
       const std::optional<crypto::Nonce>& expected_nonce = std::nullopt,
       bool certify = true, std::int64_t now = 0,
-      bool enforce_freshness = true);
+      bool enforce_freshness = true,
+      copland::AppraisalReport* report = nullptr);
   /// The same for an evidence tree, appraised as its encoding.
   [[nodiscard]] AttestationResult appraise(
       const EvidencePtr& evidence,
@@ -160,7 +162,7 @@ class Appraiser {
   crypto::NonceRegistry nonces_;
   copland::Goldens goldens_;
   std::map<crypto::Digest, Certificate> cert_store_;
-  std::optional<AppraisalPolicy> policy_;
+  std::map<std::string, std::vector<std::string>> required_;
   std::uint64_t appraisal_count_ = 0;
   std::uint64_t replays_rejected_ = 0;
 };

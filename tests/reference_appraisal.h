@@ -3,16 +3,27 @@
 // signature's child by re-encoding it. tests/test_fuzz.cpp and
 // fuzz/fuzz_evidence_decoder.cpp hold the byte walk to it.
 //
+// The walk's report (copland::AppraisalReport) is held to the tree walks
+// its readers used before they read the report: PathVerifier's hop
+// grouping (collect_hops), the required-measurement policy's observations
+// and the fleet's measurement fingerprint over a tree.
+//
 // Also here: the fixed keys, goldens and nonce both checks appraise under,
 // and helpers that build genuine records under them.
 #pragma once
 
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "copland/evidence.h"
 #include "copland/testbed.h"
+#include "core/path_verifier.h"
 #include "crypto/keystore.h"
+#include "fleet/aggregate.h"
 
 namespace pera::reference {
 
@@ -92,6 +103,164 @@ inline std::string difference(const copland::AppraisalResult& walk,
     return "measurements";
   }
   if (walk.content_digest != ref.content_digest) return "content digest";
+  return "";
+}
+
+/// Walk evidence in order, grouping measurements under the signature that
+/// covers them into per-place hops (post-order; an unsigned stray
+/// measurement is a hop of its own).
+inline void collect_hops(const copland::EvidencePtr& e,
+                         const crypto::VerifierLookup& keys,
+                         std::vector<core::AttestedHop>& hops,
+                         core::AttestedHop* current) {
+  using copland::EvidenceKind;
+  if (!e) return;
+  switch (e->kind) {
+    case EvidenceKind::kSignature: {
+      core::AttestedHop hop;
+      hop.place = e->place;
+      const crypto::Verifier* v = keys.verifier_by_key_id(e->sig.key_id);
+      hop.signature_ok =
+          v != nullptr &&
+          crypto::verify_any(*v, copland::digest(e->child), e->sig);
+      collect_hops(e->child, keys, hops, &hop);
+      hops.push_back(std::move(hop));
+      return;
+    }
+    case EvidenceKind::kMeasurement:
+      if (current != nullptr) {
+        current->measurements[e->target] = e->value;
+        if (current->place.empty()) current->place = e->place;
+      } else {
+        core::AttestedHop hop;
+        hop.place = e->place;
+        hop.measurements[e->target] = e->value;
+        hop.signature_ok = false;
+        hops.push_back(std::move(hop));
+      }
+      return;
+    case EvidenceKind::kSeq:
+    case EvidenceKind::kPar:
+      collect_hops(e->left, keys, hops, current);
+      collect_hops(e->right, keys, hops, current);
+      return;
+    case EvidenceKind::kFuncOut:
+    case EvidenceKind::kHashed:
+      collect_hops(e->child, keys, hops, current);
+      return;
+    case EvidenceKind::kEmpty:
+    case EvidenceKind::kNonce:
+      return;
+  }
+}
+
+/// What the required-measurement policy observed in a tree: every
+/// measured (place, target), and every signed place (one a signature
+/// names, or one with a measurement under some signature).
+struct Observations {
+  std::set<std::pair<std::string, std::string>> measurements;
+  std::set<std::string> signed_places;
+
+  void collect(const copland::EvidencePtr& e, bool under_signature) {
+    using copland::EvidenceKind;
+    if (!e) return;
+    switch (e->kind) {
+      case EvidenceKind::kMeasurement:
+        measurements.insert({e->place, e->target});
+        if (under_signature) signed_places.insert(e->place);
+        return;
+      case EvidenceKind::kSignature:
+        signed_places.insert(e->place);
+        collect(e->child, true);
+        return;
+      default:
+        collect(e->child, under_signature);
+        collect(e->left, under_signature);
+        collect(e->right, under_signature);
+        return;
+    }
+  }
+};
+
+/// The fleet's measurement fingerprint over a tree.
+inline crypto::Digest measurement_root_of(const copland::EvidencePtr& e) {
+  const auto ms = copland::measurements_of(e);
+  if (ms.empty()) return crypto::Digest{};
+  crypto::Sha256 h;
+  h.update("pera.fleet.measurements.v1");
+  for (const auto* m : ms) {
+    h.update(m->target);
+    h.update(m->value);
+  }
+  return h.finish();
+}
+
+inline std::string hop_difference(const std::vector<core::AttestedHop>& got,
+                                  const std::vector<core::AttestedHop>& want) {
+  if (got.size() != want.size()) return "hop count";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string at = "hop " + std::to_string(i);
+    if (got[i].place != want[i].place) return at + " place";
+    if (got[i].signature_ok != want[i].signature_ok) return at + " signature";
+    if (got[i].measurements != want[i].measurements) {
+      return at + " measurements";
+    }
+  }
+  return "";
+}
+
+/// Where the report of decodable `bytes` differs from the references;
+/// empty when it agrees. Checks the hops as PathVerifier reads them from
+/// the report (places, order, measurements, signature_ok), the
+/// measurements in pre-order, the required-pair and
+/// signed-place answers for every place and target in the evidence plus
+/// some absent ones, the fleet measurement root and the nonces.
+inline std::string report_difference(crypto::BytesView bytes,
+                                     const copland::AppraisalReport& report,
+                                     const copland::Goldens& goldens,
+                                     const crypto::KeyStore& keys) {
+  const copland::EvidencePtr tree = copland::decode(bytes);
+  std::vector<core::AttestedHop> want;
+  collect_hops(tree, keys, want, nullptr);
+  const core::PathVerdict path = core::PathVerifier(goldens, keys).verify(tree);
+  if (std::string d = hop_difference(path.hops, want); !d.empty()) return d;
+
+  const auto ms = copland::measurements_of(tree);
+  if (report.measurements.size() != ms.size()) return "measurement count";
+  std::set<std::string> places = {"", "sw1", "sw2", "xsw", "absent"};
+  std::set<std::string> targets = {"", "program", "nosuch", "absent"};
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    const auto& m = report.measurements[i];
+    if (m.place != ms[i]->place || m.target != ms[i]->target ||
+        m.value != ms[i]->value) {
+      return "measurement " + std::to_string(i);
+    }
+    places.insert(m.place);
+    targets.insert(m.target);
+  }
+  for (const auto& s : copland::signatures_of(tree)) places.insert(s->place);
+
+  Observations obs;
+  obs.collect(tree, false);
+  for (const auto& p : places) {
+    if (report.signed_place(p) != obs.signed_places.contains(p)) {
+      return "signed place " + p;
+    }
+    for (const auto& t : targets) {
+      if (report.measured(p, t) != obs.measurements.contains({p, t})) {
+        return "required pair " + p + "/" + t;
+      }
+    }
+  }
+
+  if (fleet::measurement_root_of(report) != measurement_root_of(tree)) {
+    return "measurement root";
+  }
+  const auto ns = copland::nonces_of(tree);
+  if (report.nonces.size() != ns.size()) return "nonce count";
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    if (report.nonces[i] != ns[i]->nonce) return "nonce " + std::to_string(i);
+  }
   return "";
 }
 

@@ -156,9 +156,7 @@ TEST(Downgrade, DefeatedByCoveragePolicy) {
 
   // The appraiser is configured with what the deployment REQUIRES every
   // s2 attestation to contain.
-  AppraisalPolicy policy;
-  policy.require("s2", "Program");
-  dep.appraiser().appraiser().set_policy(std::move(policy));
+  dep.appraiser().appraiser().require("s2", "Program");
 
   const auto rep = dep.run_out_of_band(
       "client", "s2",

@@ -1,7 +1,7 @@
 // Tests for the extension modules: the NetKAT<->dataplane bridge
 // (translation validation and refinement), Prim3 collector reachability,
-// link failures and rerouting, batched evidence signing, and declarative
-// appraisal policies.
+// link failures and rerouting, batched evidence signing, and the
+// appraiser's required measurements.
 #include <gtest/gtest.h>
 
 #include "adversary/attacks.h"
@@ -10,7 +10,7 @@
 #include "core/reachability.h"
 #include "crypto/drbg.h"
 #include "pera/batcher.h"
-#include "ra/appraisal_policy.h"
+#include "ra/roles.h"
 
 namespace pera::core {
 namespace {
@@ -312,78 +312,75 @@ TEST(Batcher, ZeroBatchSizeRejected) {
   EXPECT_THROW(pera::EvidenceBatcher(s, 0), std::invalid_argument);
 }
 
-// --- appraisal policies ----------------------------------------------------------------
+// --- required measurements ---------------------------------------------------------
 
-struct PolicyBed {
-  PolicyBed() : keys(91), attester("s1", keys.provision_hmac("s1")) {
-    vetted_v5 = crypto::sha256("firewall v5");
-    vetted_v6 = crypto::sha256("firewall v6");
-    current = vetted_v5;
+struct RequirementBed {
+  RequirementBed()
+      : keys(91),
+        attester("s1", keys.provision_hmac("s1")),
+        appraiser("appraiser", keys) {
+    vetted = crypto::sha256("firewall v5");
+    current = vetted;
     attester.add_claim_source(
         {"Program", [this] { return current; }, "program digest"});
     attester.add_claim_source(
         {"Hardware", [] { return crypto::sha256("hw"); }, "hardware"});
+    appraiser.set_golden("s1", "Program", vetted);
+    appraiser.set_golden("s1", "Hardware", crypto::sha256("hw"));
+  }
+
+  ra::AttestationResult appraise(const copland::EvidencePtr& e) {
+    return appraiser.appraise(e, std::nullopt, /*certify=*/false);
   }
 
   crypto::KeyStore keys;
   ra::Attester attester;
-  crypto::Digest vetted_v5, vetted_v6, current;
+  ra::Appraiser appraiser;
+  crypto::Digest vetted, current;
 };
 
-TEST(AppraisalPolicy, AcceptsVettedVersions) {
-  PolicyBed bed;
-  ra::AppraisalPolicy policy;
-  policy.require("s1", "Program", {bed.vetted_v5});
-  policy.also_allow("s1", "Program", bed.vetted_v6);
-  policy.require("s1", "Hardware");
-
-  const auto e = bed.attester.attest({});
-  EXPECT_TRUE(policy.evaluate(e).ok);
-
-  bed.current = bed.vetted_v6;  // upgraded to the other vetted build
-  EXPECT_TRUE(policy.evaluate(bed.attester.attest({})).ok);
+TEST(AppraiserRequirements, CompleteSignedRecordPasses) {
+  RequirementBed bed;
+  bed.appraiser.require("s1", "Program");
+  bed.appraiser.require("s1", "Hardware");
+  const auto res = bed.appraise(bed.attester.attest({}));
+  EXPECT_TRUE(res.ok);
+  EXPECT_TRUE(res.detail.findings.empty());
 }
 
-TEST(AppraisalPolicy, RejectsUnvettedVersion) {
-  PolicyBed bed;
-  ra::AppraisalPolicy policy;
-  policy.require("s1", "Program", {bed.vetted_v5});
+TEST(AppraiserRequirements, RejectsUnvettedVersion) {
+  RequirementBed bed;
+  bed.appraiser.require("s1", "Program");
   bed.current = crypto::sha256("firewall v7-rc1, never reviewed");
-  const auto verdict = policy.evaluate(bed.attester.attest({}));
-  ASSERT_FALSE(verdict.ok);
-  EXPECT_NE(verdict.findings[0].detail.find("un-vetted"), std::string::npos);
+  const auto res = bed.appraise(bed.attester.attest({}));
+  ASSERT_FALSE(res.ok);
+  ASSERT_EQ(res.detail.findings.size(), 1u);
+  EXPECT_EQ(res.detail.findings[0].kind,
+            copland::AppraisalFinding::Kind::kBadMeasurement);
 }
 
-TEST(AppraisalPolicy, MissingTargetFails) {
-  PolicyBed bed;
-  ra::AppraisalPolicy policy;
-  policy.require("s1", "Tables");
-  const auto verdict = policy.evaluate(bed.attester.attest({"Program"}));
-  ASSERT_FALSE(verdict.ok);
-  EXPECT_NE(verdict.findings[0].detail.find("missing"), std::string::npos);
+TEST(AppraiserRequirements, MissingTargetFails) {
+  RequirementBed bed;
+  bed.appraiser.require("s1", "Tables");
+  const auto res = bed.appraise(bed.attester.attest({"Program"}));
+  ASSERT_FALSE(res.ok);
+  ASSERT_EQ(res.detail.findings.size(), 1u);
+  EXPECT_EQ(res.detail.findings[0].place, "s1");
+  EXPECT_EQ(res.detail.findings[0].detail,
+            "policy: missing required measurement of Tables");
 }
 
-TEST(AppraisalPolicy, UnsignedEvidenceFails) {
-  PolicyBed bed;
-  ra::AppraisalPolicy policy;
-  policy.require("s1", "Program");
-  // Hand-built unsigned measurement.
-  const auto bare = copland::Evidence::measurement(
-      "s1", "s1", "Program", bed.vetted_v5, "claim");
-  EXPECT_FALSE(policy.evaluate(bare).ok);
-  policy.waive_signature("s1");
-  EXPECT_TRUE(policy.evaluate(bare).ok);
-}
-
-TEST(AppraisalPolicy, FreshnessWindow) {
-  PolicyBed bed;
-  ra::AppraisalPolicy policy;
-  policy.require("s1", "Program");
-  policy.set_max_age(1000);
-  const auto e = bed.attester.attest({});
-  EXPECT_TRUE(policy.evaluate(e, 500).ok);
-  EXPECT_FALSE(policy.evaluate(e, 5000).ok);
-  EXPECT_TRUE(policy.evaluate(e).ok);  // age unknown: not enforced
+TEST(AppraiserRequirements, UnsignedEvidenceFails) {
+  RequirementBed bed;
+  bed.appraiser.require("s1", "Program");
+  // Hand-built unsigned measurement of the golden value.
+  const auto bare = copland::Evidence::measurement("s1", "s1", "Program",
+                                                   bed.vetted, "claim");
+  const auto res = bed.appraise(bare);
+  ASSERT_FALSE(res.ok);
+  ASSERT_EQ(res.detail.findings.size(), 1u);
+  EXPECT_EQ(res.detail.findings[0].detail,
+            "policy: evidence from this place is not signed");
 }
 
 }  // namespace

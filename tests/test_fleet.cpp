@@ -31,6 +31,7 @@
 #include "net/server.h"
 #include "netsim/topology.h"
 #include "pipeline/pipeline.h"
+#include "reference_appraisal.h"
 
 namespace {
 
@@ -375,7 +376,7 @@ TEST(FleetAggregate, DerivedNonceBindingCatchesReplayedEvidence) {
     fleet::EvidenceAggregator agg("g0", "r0", {"sw0"});
     agg.begin_wave(5, fresh);
     AggregateEntry e = entry_of("sw0", EntryOutcome::kPass, true,
-                                fleet::measurement_root_of(ev));
+                                reference::measurement_root_of(ev));
     e.evidence = copland::encode(ev);
     e.evidence_digest = copland::digest(ev);
     agg.record(std::move(e));
@@ -408,7 +409,7 @@ TEST(FleetAggregate, SeededAuditCatchesVerdictLies) {
   fleet::EvidenceAggregator agg("g0", "r0", {"sw0"});
   agg.begin_wave(9, nonce);
   AggregateEntry e = entry_of("sw0", EntryOutcome::kPass, true,
-                              fleet::measurement_root_of(ev));
+                              reference::measurement_root_of(ev));
   e.evidence = copland::encode(ev);
   e.evidence_digest = copland::digest(ev);
   agg.record(std::move(e));
@@ -741,6 +742,41 @@ TEST(FleetEndToEnd, SwappedMemberIsQuarantinedAndMatchesFlatAppraisal) {
   EXPECT_GT(rig.controller.stats().aggregates_valid, 0u);
   EXPECT_EQ(rig.controller.stats().aggregates_invalid, 0u)
       << "an honest regional reporting a bad member is a VALID aggregate";
+}
+
+// A regional appraises with a copy of the root's required measurements.
+// The root requires Tables from sw5 and the waves attest only Hardware and
+// Program. A requirement binds every record (it names a place, not the
+// record's sender), so every member fails at its regional, exactly as the
+// root's own appraiser judges the same evidence; without the copy every
+// regional verdict would be a pass (HealthyFleetStaysTrustedWithBoundedLoad).
+TEST(FleetEndToEnd, RegionalEnforcesTheRootsRequiredMeasurements) {
+  fleet::FleetConfig cfg = fast_fleet_config();
+  cfg.detail = nac::EvidenceDetail::kHardware | nac::EvidenceDetail::kProgram;
+  FleetRig rig(16, 8, 0xFEEA, cfg);
+  ra::Appraiser& root = rig.dep.appraiser().appraiser();
+  root.require("sw5", "Tables");
+  rig.controller.start();
+  rig.dep.network().run(100 * netsim::kMillisecond);
+  rig.controller.stop();
+  rig.dep.network().run();
+
+  for (const auto& m : rig.controller.tree().all_members()) {
+    const crypto::Nonce nonce{d("flat-" + m)};
+    const auto ev = rig.dep.switch_node(m).pera().attest_challenge(
+        cfg.detail, nonce, /*hash_before_sign=*/false);
+    const ra::AttestationResult flat =
+        root.appraise(ev, nonce, /*certify=*/false, /*now=*/0,
+                      /*enforce_freshness=*/false);
+    EXPECT_FALSE(flat.ok) << m;
+    ASSERT_FALSE(flat.detail.findings.empty()) << m;
+    EXPECT_EQ(flat.detail.findings[0].place, "sw5");
+    EXPECT_EQ(flat.detail.findings[0].detail,
+              "policy: missing required measurement of Tables");
+    ASSERT_TRUE(rig.controller.last_verdicts().contains(m)) << m;
+    EXPECT_FALSE(rig.controller.last_verdicts().at(m)) << m;
+  }
+  EXPECT_EQ(rig.controller.stats().aggregates_invalid, 0u);
 }
 
 TEST(FleetEndToEnd, TimelineIsDeterministicPerSeed) {

@@ -210,8 +210,11 @@ TEST(Fuzz, DeepSeqBufferThrowsInsteadOfCrashing) {
 }
 
 // The genuine records the appraisal differential mutates: HMAC-, XMSS- and
-// Merkle-batch-signed rounds, and a signed par/seq with a nested
-// signature, a tampered measurement and an unknown component.
+// Merkle-batch-signed rounds; a signed par/seq with a nested signature, a
+// tampered measurement and an unknown component; a nested record whose
+// outer signature covers measurements before and after the inner one and
+// names no place; and a record with a stray (unsigned) measurement on
+// each side of a signed round.
 std::vector<Bytes> genuine_records(reference::AppraisalSetup& s) {
   using copland::Evidence;
   std::vector<Bytes> out;
@@ -231,6 +234,18 @@ std::vector<Bytes> genuine_records(reference::AppraisalSetup& s) {
       "sw1", Evidence::par(s.sign("sw2", s.round("sw2")),
                            Evidence::seq(s.round("sw1", /*tampered=*/true),
                                          s.measured("sw1", "nosuch"))))));
+  const copland::EvidencePtr nested_body = Evidence::seq(
+      s.measured("sw1", "program"),
+      Evidence::seq(s.sign("sw2", s.round("sw2")),
+                    Evidence::seq(s.measured("sw1", "nosuch"),
+                                  Evidence::nonce_ev(s.nonce))));
+  out.push_back(copland::encode(Evidence::signature(
+      "", nested_body,
+      s.keys.signer_for("sw1")->sign(copland::digest(nested_body)))));
+  out.push_back(copland::encode(Evidence::seq(
+      s.measured("sw2", "program"),
+      Evidence::seq(s.sign("sw1", s.round("sw1")),
+                    s.measured("xsw", "program", /*tampered=*/true)))));
   return out;
 }
 
@@ -244,7 +259,33 @@ TEST(Fuzz, AppraisalWalkMatchesDecodeThenTreeWalk) {
   EXPECT_TRUE(verdict(records[0]).ok);  // HMAC
   EXPECT_TRUE(verdict(records[1]).ok);  // XMSS
   EXPECT_TRUE(verdict(records[2]).ok);  // Merkle-batched
-  EXPECT_EQ(verdict(records.back()).signatures_checked, 2u);
+  EXPECT_EQ(verdict(records[5]).signatures_checked, 2u);
+  EXPECT_EQ(verdict(records[6]).signatures_checked, 2u);
+
+  // The nested record's hops: the inner signature first, each measurement
+  // under its innermost signature, the unnamed outer one at sw1.
+  {
+    const BytesView v{records[6].data(), records[6].size()};
+    const core::PathVerdict path =
+        core::PathVerifier(s.goldens, s.keys).verify(copland::decode(v));
+    ASSERT_EQ(path.places(), (std::vector<std::string>{"sw2", "sw1"}));
+    EXPECT_EQ(path.hops[0].measurements.size(), 1u);
+    EXPECT_EQ(path.hops[1].measurements.size(), 2u);
+    EXPECT_TRUE(path.all_signatures_ok);
+  }
+  // The stray record: each unsigned measurement is an unverified hop.
+  {
+    copland::AppraisalReport report;
+    const BytesView v{records[7].data(), records[7].size()};
+    (void)copland::appraise(v, &s.goldens, s.keys, s.nonce, &report);
+    ASSERT_EQ(report.hops.size(), 3u);
+    EXPECT_FALSE(report.hops[0].is_signature);
+    EXPECT_TRUE(report.hops[1].signature_ok);
+    EXPECT_FALSE(report.hops[2].signature_ok);
+    EXPECT_TRUE(report.signed_place("sw1"));
+    EXPECT_FALSE(report.signed_place("sw2"));
+    EXPECT_EQ(report.nonces.size(), 1u);
+  }
 
   crypto::Drbg rng(29);
   for (std::size_t r = 0; r < records.size(); ++r) {
@@ -257,11 +298,18 @@ TEST(Fuzz, AppraisalWalkMatchesDecodeThenTreeWalk) {
       const bool full = i % 2 == 0;
       const copland::Goldens* goldens = full ? &s.goldens : nullptr;
       const crypto::Nonce nonce = full ? s.nonce : crypto::Nonce{};
-      ASSERT_EQ(reference::difference(copland::appraise(v, goldens, s.keys, nonce),
-                                      reference::appraise(v, goldens, s.keys,
-                                                          nonce)),
+      copland::AppraisalReport report;
+      const copland::AppraisalResult walk =
+          copland::appraise(v, goldens, s.keys, nonce, &report);
+      ASSERT_EQ(reference::difference(
+                    walk, reference::appraise(v, goldens, s.keys, nonce)),
                 "")
           << "record " << r << " mutation " << i;
+      if (walk.decoded) {
+        ASSERT_EQ(reference::report_difference(v, report, s.goldens, s.keys),
+                  "")
+            << "record " << r << " mutation " << i;
+      }
     }
   }
 }
