@@ -8,6 +8,9 @@
 // Counters report the simulated per-packet RA cost and cache hit rates.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "core/deployment.h"
 #include "crypto/keystore.h"
 
@@ -18,7 +21,8 @@ using PeraSwitchT = ::pera::pera::PeraSwitch;
 using dataplane::make_tcp_packet;
 
 nac::PolicyHeader header_for(nac::DetailMask detail,
-                             std::uint8_t sampling_log2 = 0) {
+                             std::uint8_t sampling_log2 = 0,
+                             const std::string& flow = "flow") {
   nac::CompiledPolicy pol;
   nac::HopInstruction inst;
   inst.wildcard = true;
@@ -26,7 +30,7 @@ nac::PolicyHeader header_for(nac::DetailMask detail,
   inst.sign_evidence = true;
   pol.hops = {inst};
   pol.appraiser = "Appraiser";
-  return nac::make_header(pol, crypto::Nonce{crypto::sha256("flow")},
+  return nac::make_header(pol, crypto::Nonce{crypto::sha256(flow)},
                           /*in_band=*/true, sampling_log2);
 }
 
@@ -64,23 +68,32 @@ BENCHMARK(BM_Fig4_InertiaLevel)
 
 // Cache expiry under churn: control-plane table updates every k packets
 // invalidate the Tables-level evidence — lower inertia, lower hit rate.
+// Each update rewrites one of a fixed set of /32 routes in place, so the
+// table's size does not follow the iteration count.
 void BM_Fig4_InertiaChurn(benchmark::State& state) {
+  constexpr std::size_t kChurnRoutes = 16;
   const long update_every = state.range(0);
   crypto::KeyStore keys(12);
   PeraSwitchT sw("sw1", dataplane::make_router(),
                       keys.provision_hmac("sw1"));
+  dataplane::Table& route = *sw.dataplane().program().table("route");
+  const std::size_t first = route.entry_count();
+  for (std::size_t k = 0; k < kChurnRoutes; ++k) {
+    dataplane::TableEntry e;
+    e.keys = {dataplane::KeyMatch::lpm(0xC1000000 | k, 32)};
+    e.action = "forward";
+    e.action_params = {1};
+    sw.update_table("route", e);
+  }
   const nac::PolicyHeader hdr =
       header_for(nac::mask_of(nac::EvidenceDetail::kTables));
   const dataplane::RawPacket pkt = make_tcp_packet({});
   long i = 0;
   for (auto _ : state) {
     if (update_every > 0 && ++i % update_every == 0) {
-      dataplane::TableEntry e;
-      e.keys = {dataplane::KeyMatch::lpm(
+      const auto k = static_cast<std::size_t>(i / update_every) % kChurnRoutes;
+      route.entry_mut(first + k).keys = {dataplane::KeyMatch::lpm(
           0xC0000000 | static_cast<std::uint64_t>(i), 32)};
-      e.action = "forward";
-      e.action_params = {1};
-      sw.update_table("route", e);
     }
     nac::EvidenceCarrier carrier;
     benchmark::DoNotOptimize(sw.process(pkt, &hdr, &carrier));
@@ -94,6 +107,34 @@ void BM_Fig4_InertiaChurn(benchmark::State& state) {
                      : "table update every " + std::to_string(update_every));
 }
 BENCHMARK(BM_Fig4_InertiaChurn)->Arg(0)->Arg(64)->Arg(8)->Arg(1);
+
+// Flows that each carry their own repeating policy nonce, interleaved
+// packet by packet: a flow's entry must outlast the other flows' stores
+// until its next packet. Past EvidenceCache::kRecurrenceWindow flows in
+// strict rotation, every packet misses.
+void BM_Fig4_InterleavedFlows(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  crypto::KeyStore keys(14);
+  PeraSwitchT sw("sw1", dataplane::make_router(),
+                      keys.provision_hmac("sw1"));
+  std::vector<nac::PolicyHeader> headers;
+  for (std::size_t f = 0; f < flows; ++f) {
+    headers.push_back(header_for(nac::mask_of(nac::EvidenceDetail::kProgram),
+                                 0, "flow" + std::to_string(f)));
+  }
+  const dataplane::RawPacket pkt = make_tcp_packet({});
+  std::size_t next = 0;
+  for (auto _ : state) {
+    nac::EvidenceCarrier carrier;
+    benchmark::DoNotOptimize(sw.process(pkt, &headers[next], &carrier));
+    next = (next + 1) % flows;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["cache_hit_rate"] = sw.cache().stats().hit_rate();
+  state.SetLabel(std::to_string(flows) + " interleaved flow nonces");
+}
+BENCHMARK(BM_Fig4_InterleavedFlows)
+    ->Arg(1)->Arg(2)->Arg(64)->Arg(256)->Arg(257);
 
 // --- Sampling axis ---------------------------------------------------------------
 

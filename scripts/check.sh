@@ -187,11 +187,12 @@ else
   echo "== clang-tidy: not installed, skipping (CI runs it) =="
 fi
 
-# AddressSanitizer + UBSan over the full test suite.
+# AddressSanitizer + UBSan over the full test suite. Every target is
+# built, as in CI's sanitize job: some ctest cases run the bench binaries.
 echo "== ASan+UBSan (full suite) =="
 cmake -B build-asan -G Ninja -DPERA_WERROR=ON \
   -DPERA_SANITIZE=address,undefined
-cmake --build build-asan --target pera_tests
+cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure
 
 # ThreadSanitizer pass over the concurrent code: the SPSC rings, the

@@ -5,6 +5,7 @@
 namespace pera::dataplane {
 
 void DataplaneProgram::add_action(ActionDef action) {
+  ++schema_revision_;  // first: actions_ changes even if binding throws
   const std::string name = action.name;
   ActionDef& def = actions_[name];
   def = std::move(action);
@@ -23,6 +24,7 @@ Table& DataplaneProgram::add_table(std::string name,
   table->bind_keys(parser_);
   table->bind_actions(&bound_actions_);
   tables_.push_back(std::move(table));
+  ++schema_revision_;
   return *tables_.back();
 }
 
@@ -69,6 +71,7 @@ void DataplaneProgram::declare_register(const std::string& name,
                                         std::size_t size, bool packet_writable,
                                         StateGuard guard) {
   register_decls_.push_back(RegisterDecl{name, size, packet_writable, guard});
+  ++schema_revision_;
 }
 
 std::vector<StateObject> DataplaneProgram::state_objects() const {
@@ -141,6 +144,12 @@ std::uint64_t DataplaneProgram::tables_revision() const {
   return sum;
 }
 
+std::uint64_t DataplaneProgram::schema_revision() const {
+  std::uint64_t sum = schema_revision_;
+  for (const auto& t : tables_) sum += t->schema_revision();
+  return sum;
+}
+
 PisaSwitch::PisaSwitch(std::shared_ptr<DataplaneProgram> program) {
   load_program(std::move(program));
 }
@@ -148,6 +157,7 @@ PisaSwitch::PisaSwitch(std::shared_ptr<DataplaneProgram> program) {
 void PisaSwitch::load_program(std::shared_ptr<DataplaneProgram> program) {
   if (!program) throw std::invalid_argument("load_program: null program");
   program_ = std::move(program);
+  ++loads_;
   regs_ = RegisterFile{};
   for (const auto& d : program_->register_decls()) {
     regs_.declare(d.name, d.size);

@@ -4,10 +4,13 @@
 //
 // Digest levels correspond to Fig. 4's inertia axis:
 //   program_digest()  — parser + actions + table schemas + register decls
-//                       (changes only when the program is swapped)
+//                       (changes when the program is swapped or its
+//                       schema is edited; schema_revision() counts edits)
 //   tables_digest()   — Merkle root over table *contents*
 //                       (changes on control-plane updates)
 // Register state (fastest-changing) is digested by RegisterFile itself.
+// Both digests are computed afresh on every call: they are the reference
+// that pera::MeasurementUnit's per-switch memo is held to.
 //
 // A program resolves its names as it is built: add_action binds the
 // action's field references against the parser's schema, and add_table
@@ -124,6 +127,13 @@ class DataplaneProgram {
   /// table's content (and hence tables_digest()) can have changed.
   [[nodiscard]] std::uint64_t tables_revision() const;
 
+  /// Schema revision — advances on every edit program_digest() can see:
+  /// add_action, add_table and declare_register here, and each table's
+  /// set_mutation_profile (Table::schema_revision, summed in the way
+  /// tables_revision() is). Kept with the program, not per switch,
+  /// because switches may share one program.
+  [[nodiscard]] std::uint64_t schema_revision() const;
+
  private:
   std::string name_;
   std::string version_;
@@ -132,6 +142,7 @@ class DataplaneProgram {
   ActionTable bound_actions_;  // actions_ resolved against parser_
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<RegisterDecl> register_decls_;
+  std::uint64_t schema_revision_ = 0;  // this program's own edits
 };
 
 /// Per-switch processing statistics.
@@ -154,6 +165,10 @@ class PisaSwitch {
   /// Hot-swap the running program (what the Athens attacker did). Register
   /// state is re-declared from the new program.
   void load_program(std::shared_ptr<DataplaneProgram> program);
+
+  /// Programs loaded so far, the constructor's included. Measurement
+  /// epochs derive from it: a load changes what every level reads.
+  [[nodiscard]] std::uint64_t loads() const { return loads_; }
 
   [[nodiscard]] const DataplaneProgram& program() const { return *program_; }
   [[nodiscard]] DataplaneProgram& program() { return *program_; }
@@ -188,6 +203,7 @@ class PisaSwitch {
   RegisterFile regs_;
   SwitchStats stats_;
   std::uint64_t next_packet_id_ = 1;
+  std::uint64_t loads_ = 0;
 };
 
 }  // namespace pera::dataplane

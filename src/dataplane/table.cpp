@@ -143,6 +143,7 @@ void Table::set_mutation_profile(bool packet_writable, std::size_t capacity,
   packet_writable_ = packet_writable;
   capacity_ = capacity;
   eviction_ = eviction;
+  ++schema_revision_;
 }
 
 void Table::set_default(std::string action, std::vector<std::uint64_t> params) {

@@ -124,7 +124,8 @@ class Table {
   /// intent; such tables must declare a capacity bound plus an eviction
   /// policy or an adversary can exhaust them from the wire. The metadata is
   /// part of the program schema (it changes what the program *is*, not what
-  /// its state holds), so it feeds encode_schema()/program_digest().
+  /// its state holds), so it feeds encode_schema()/program_digest(), and
+  /// setting it bumps schema_revision().
   void set_mutation_profile(bool packet_writable, std::size_t capacity,
                             EvictionPolicy eviction);
   [[nodiscard]] bool packet_writable() const { return packet_writable_; }
@@ -136,6 +137,12 @@ class Table {
   /// content_digest() (add/remove/modify/default/clear — NOT lookups,
   /// which only touch hit counters). Measurement epochs derive from this.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
+
+  /// Monotone schema revision: bumped by set_mutation_profile, the one
+  /// table edit encode_schema() can see.
+  [[nodiscard]] std::uint64_t schema_revision() const {
+    return schema_revision_;
+  }
 
   /// True when lookups go through the exact-match hash index (every key
   /// spec is kExact).
@@ -209,6 +216,7 @@ class Table {
   bool packet_writable_ = false;
   std::size_t capacity_ = 0;
   EvictionPolicy eviction_ = EvictionPolicy::kNone;
+  std::uint64_t schema_revision_ = 0;
 
   // Incremental digest state. Leaf layout: entry i -> leaf i, default
   // action -> leaf entry_count(). Structural tree ops (append/truncate/

@@ -1,5 +1,6 @@
 #include "pera/cache.h"
 
+#include <algorithm>
 #include <iterator>
 
 #include "obs/obs.h"
@@ -36,6 +37,7 @@ const CachedEvidence* EvidenceCache::lookup(nac::DetailMask detail,
         mu.epoch(level) != it->second.epochs[i]) {
       ++stats_.misses;
       ++stats_.invalidations;
+      if (!it->second.hit) forget_unhit(it);
       entries_.erase(it);
       PERA_OBS_COUNT("pera.cache.miss");
       PERA_OBS_COUNT("pera.cache.invalidation");
@@ -47,6 +49,10 @@ const CachedEvidence* EvidenceCache::lookup(nac::DetailMask detail,
   ++stats_.hits;
   PERA_OBS_COUNT("pera.cache.hit");
   PERA_OBS_EVENT(obs::SpanKind::kCacheHit, "pera.cache", 0, detail);
+  if (!it->second.hit) {
+    it->second.hit = true;
+    forget_unhit(it);
+  }
   CachedEvidence& cached = it->second.cached;
   if (cached.encoded.empty()) cached.encoded = copland::encode(cached.evidence);
   return &cached;
@@ -57,16 +63,28 @@ void EvidenceCache::store(nac::DetailMask detail, const crypto::Nonce& nonce,
                           const MeasurementUnit& mu, CacheVariant variant) {
   if (!enabled_) return;
   if (nac::has_detail(detail, nac::EvidenceDetail::kPacket)) return;
-  Entry entry;
-  entry.cached.evidence = std::move(evidence);
+  const auto [it, added] =
+      entries_.try_emplace(Key{detail, nonce.value, std::move(variant)});
+  Entry& entry = it->second;
+  entry.cached = CachedEvidence{std::move(evidence), {}};
   for (std::size_t i = 0; i < std::size(nac::kAllLevels); ++i) {
     if (nac::has_detail(detail, nac::kAllLevels[i])) {
       entry.epochs[i] = mu.epoch(nac::kAllLevels[i]);
     }
   }
-  entries_[Key{detail, nonce.value, std::move(variant)}] = std::move(entry);
+  if (added) {
+    unhit_.push_back(it);
+    if (unhit_.size() > kRecurrenceWindow) {
+      entries_.erase(unhit_.front());
+      unhit_.pop_front();
+    }
+  }
   PERA_OBS_GAUGE("pera.cache.entries",
                  static_cast<std::int64_t>(entries_.size()));
+}
+
+void EvidenceCache::forget_unhit(Entries::iterator it) {
+  unhit_.erase(std::find(unhit_.begin(), unhit_.end(), it));
 }
 
 }  // namespace pera::pera

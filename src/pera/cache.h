@@ -1,13 +1,23 @@
 // Inertia-aware evidence cache (§5.2: "High-inertia attestations are more
 // easily cached since they take longer to expire").
 //
-// A cached entry records the epoch of every detail level it covers; it is
-// valid while all those epochs are unchanged. Nonce-bound evidence keys on
-// the nonce too — fresh challenges intentionally defeat caching, which is
-// exactly the freshness/overhead trade-off Fig. 4 describes.
+// An entry is keyed on (detail, nonce, instruction variant) and records
+// the epoch of every detail level it covers; a lookup hits while all those
+// epochs are unchanged. Fresh challenges intentionally defeat caching (the
+// freshness/overhead trade-off Fig. 4 describes): their nonces never
+// recur. So only an entry whose nonce has recurred (it was hit, as a
+// flow's policy nonce is on the flow's next attested packet) is kept until
+// an epoch moves. An entry never hit is dropped after kRecurrenceWindow
+// newer entries have been stored, so a run of fresh nonces costs that
+// many entries and not one per round, while up to that many repeating
+// nonces may interleave before their first recurrence.
+// A fresh-nonce round still reuses the measurements: the MeasurementUnit
+// memoises each level's digest on its epoch.
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <deque>
 #include <iterator>
 #include <map>
 #include <string>
@@ -57,6 +67,11 @@ class EvidenceCache {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  /// Entries never hit that the cache holds at most; the oldest goes
+  /// first. One such entry is a signed bundle of about 2 KB at Program
+  /// detail, so fresh nonces hold about 0.5 MB per switch.
+  static constexpr std::size_t kRecurrenceWindow = 256;
+
   /// Look up cached evidence for (detail mask, nonce, instruction
   /// variant). Returns the entry, encoding included, when present and
   /// every covered level's epoch still matches, else nullptr. The pointer
@@ -66,7 +81,9 @@ class EvidenceCache {
                                              const MeasurementUnit& mu,
                                              const CacheVariant& variant = {});
 
-  /// Store evidence with the current epochs of its covered levels.
+  /// Store evidence with the current epochs of its covered levels. The
+  /// new entry drops the oldest entry never hit once more than
+  /// kRecurrenceWindow are held.
   void store(nac::DetailMask detail, const crypto::Nonce& nonce,
              copland::EvidencePtr evidence, const MeasurementUnit& mu,
              CacheVariant variant = {});
@@ -74,7 +91,10 @@ class EvidenceCache {
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CacheStats{}; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
+  void clear() {
+    entries_.clear();
+    unhit_.clear();
+  }
 
  private:
   struct Key {
@@ -87,10 +107,16 @@ class EvidenceCache {
     CachedEvidence cached;
     // Epoch of each of nac::kAllLevels the key's detail covers.
     std::array<std::uint64_t, std::size(nac::kAllLevels)> epochs{};
+    bool hit = false;  // its nonce has recurred: kept until an epoch moves
   };
+  using Entries = std::map<Key, Entry>;
+
+  // Stops listing `it` among the entries never hit.
+  void forget_unhit(Entries::iterator it);
 
   bool enabled_;
-  std::map<Key, Entry> entries_;
+  Entries entries_;
+  std::deque<Entries::iterator> unhit_;  // entries never hit, oldest first
   CacheStats stats_;
 };
 

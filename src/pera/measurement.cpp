@@ -1,5 +1,6 @@
 #include "pera/measurement.h"
 
+#include <bit>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -11,6 +12,20 @@ crypto::Digest MeasurementUnit::measure(nac::EvidenceDetail level,
   PERA_OBS_COUNT("pera.measure." + nac::to_string(level));
   PERA_OBS_EVENT(obs::SpanKind::kMeasure, nac::to_string(level), 0,
                  static_cast<std::uint64_t>(level));
+  const std::uint64_t now = epoch(level);
+  // Packet, and any value that is no level, is measured afresh;
+  // measure_live throws on the latter.
+  if (now == kNoEpoch) return measure_live(level, packet_bytes);
+  Memo& memo = memo_[std::countr_zero(static_cast<unsigned>(level))];
+  if (memo.epoch != now) {
+    memo.value = measure_live(level, packet_bytes);
+    memo.epoch = now;
+  }
+  return memo.value;
+}
+
+crypto::Digest MeasurementUnit::measure_live(
+    nac::EvidenceDetail level, const crypto::Bytes* packet_bytes) const {
   switch (level) {
     case nac::EvidenceDetail::kHardware:
       return hw_.digest();
@@ -67,20 +82,22 @@ std::vector<dataplane::StateObject> objects_measured_by(
 }
 
 std::uint64_t MeasurementUnit::epoch(nac::EvidenceDetail level) const {
+  const dataplane::DataplaneProgram& program = switch_->program();
+  const std::uint64_t program_epoch =
+      (switch_->loads() << 32) + program.schema_revision();
   switch (level) {
     case nac::EvidenceDetail::kHardware:
       return 0;  // never changes
     case nac::EvidenceDetail::kProgram:
-      return program_epoch_;
+      return program_epoch;
     case nac::EvidenceDetail::kTables:
-      return ((program_epoch_ + tables_epoch_) << 32) +
-             switch_->program().tables_revision();
+      return program_epoch + program.tables_revision();
     case nac::EvidenceDetail::kProgState:
-      return (program_epoch_ << 32) + switch_->registers().revision();
+      return program_epoch + switch_->registers().revision();
     case nac::EvidenceDetail::kPacket:
-      return ~std::uint64_t{0};  // every packet differs: never cacheable
+      break;  // every packet differs: never cacheable
   }
-  return 0;
+  return kNoEpoch;
 }
 
 }  // namespace pera::pera

@@ -2,8 +2,16 @@
 // into live digests of the attached switch. This models the "trustworthy
 // evidence-producing hardware component" of the §3 threat model — it reads
 // the true state of the switch, even if the dataplane program is rogue.
+//
+// Each level but Packet is measured once per epoch (§5.2: high-inertia
+// evidence changes rarely). The epochs are read from live switch state —
+// the switch's program-load count, the program's schema revision, and the
+// table and register content revisions — so every mutation path moves
+// them and no caller has to report a change. The memo is per unit, so a
+// program shared by several switches gains no mutable state of its own.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,7 +41,10 @@ class MeasurementUnit {
   MeasurementUnit(HardwareIdentity hw, const dataplane::PisaSwitch& sw)
       : hw_(std::move(hw)), switch_(&sw) {}
 
-  /// Measure one detail level. kPacket requires `packet_bytes`.
+  /// Measure one detail level. kPacket requires `packet_bytes` and is
+  /// hashed on every call; every other level is served from a memo while
+  /// its epoch is unchanged. The memo equals the reference digests
+  /// (DataplaneProgram::program_digest, tables_digest) by construction.
   [[nodiscard]] crypto::Digest measure(
       nac::EvidenceDetail level,
       const crypto::Bytes* packet_bytes = nullptr) const;
@@ -41,29 +52,34 @@ class MeasurementUnit {
   /// Human-readable claim text for a level.
   [[nodiscard]] std::string claim_text(nac::EvidenceDetail level) const;
 
-  /// Epoch of a level: a counter that advances whenever the measured value
-  /// can have changed. Hardware never advances; program advances on
-  /// program swaps; tables/state epochs derive from live switch state —
-  /// table content revisions and the register-file revision — so *any*
-  /// mutation path (control-plane updates, direct table edits, register
-  /// writes, re-declarations) invalidates caches, while no-op writes and
-  /// hit-counter bumps do not. The program epoch is mixed into the
-  /// mutable-state epochs' high bits because a program swap resets the
-  /// live revision counters.
+  /// Epoch of a level: a value that changes whenever the measured value
+  /// can have changed, read from live switch state. Hardware never
+  /// changes. Program is (program loads << 32) + schema revision. Tables
+  /// and ProgState add their content revision — the tables' summed
+  /// revisions, the register file's — to the Program epoch. Within one
+  /// load every counter only grows, so each sum moves on any change;
+  /// lookups, hit counters and no-op register writes move none of them.
+  /// Packet, which differs with every packet, has none: it reads ~0.
   [[nodiscard]] std::uint64_t epoch(nac::EvidenceDetail level) const;
-
-  /// Record a program swap (bumps the program epoch).
-  void on_program_loaded() { ++program_epoch_; }
-  /// Record a control-plane table update (bumps the tables epoch).
-  void on_tables_updated() { ++tables_epoch_; }
 
   [[nodiscard]] const HardwareIdentity& hardware() const { return hw_; }
 
  private:
+  // What epoch() returns for Packet and for a value that is no level, and
+  // where each memo starts: no memoised level's epoch reaches it.
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
+  struct Memo {
+    std::uint64_t epoch = kNoEpoch;
+    crypto::Digest value{};
+  };
+
+  [[nodiscard]] crypto::Digest measure_live(
+      nac::EvidenceDetail level, const crypto::Bytes* packet_bytes) const;
+
   HardwareIdentity hw_;
   const dataplane::PisaSwitch* switch_;
-  std::uint64_t program_epoch_ = 0;
-  std::uint64_t tables_epoch_ = 0;
+  mutable std::array<Memo, 4> memo_{};  // Hardware, Program, Tables, State
 };
 
 /// Detail level whose digest observes a state object's *content*: table

@@ -42,7 +42,6 @@ PeraSwitch::PeraSwitch(std::string name,
 void PeraSwitch::load_program(
     std::shared_ptr<dataplane::DataplaneProgram> program) {
   switch_.load_program(std::move(program));
-  mu_.on_program_loaded();
   // The control plane correlates this event with the appraisal failure
   // that follows when the new program's digest is not the golden one.
   PERA_OBS_COUNT("pera.epoch.program");
@@ -54,7 +53,6 @@ void PeraSwitch::update_table(const std::string& table,
                               dataplane::TableEntry entry) {
   switch_.program().check_entry(table, entry);
   switch_.program().table(table)->add_entry(std::move(entry));
-  mu_.on_tables_updated();
   PERA_OBS_COUNT("pera.epoch.tables");
   PERA_OBS_EVENT(obs::SpanKind::kEpochBump, name_, 0,
                  mu_.epoch(nac::EvidenceDetail::kTables));
@@ -66,8 +64,8 @@ void PeraSwitch::set_guard(const std::string& name, PacketGuard guard) {
 
 bool PeraSwitch::sampler_fires(const crypto::Digest& flow_key,
                                std::uint8_t sampling_log2) {
+  if (sampling_log2 == 0) return true;  // no counter: nothing would read it
   const std::uint64_t count = flow_counters_[flow_key]++;
-  if (sampling_log2 == 0) return true;
   const std::uint64_t period = std::uint64_t{1} << sampling_log2;
   return count % period == 0;
 }

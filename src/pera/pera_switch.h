@@ -69,11 +69,13 @@ class PeraSwitch {
   [[nodiscard]] PeraConfig& config() { return config_; }
 
   // --- control plane ------------------------------------------------------
-  /// Swap the dataplane program (bumps the program epoch — cached program
-  /// evidence immediately expires; this is how RA catches the swap).
+  /// Swap the dataplane program. The switch's load count moves every
+  /// level's epoch, so cached evidence expires at once; this is how RA
+  /// catches the swap. dataplane().load_program does the same.
   void load_program(std::shared_ptr<dataplane::DataplaneProgram> program);
 
-  /// Add a table entry at runtime (bumps the tables epoch). Throws
+  /// Add a table entry at runtime (the table's revision moves the Tables
+  /// epoch, as any other edit of its content does). Throws
   /// std::invalid_argument, changing nothing, when the program cannot
   /// run it (DataplaneProgram::check_entry).
   void update_table(const std::string& table, dataplane::TableEntry entry);

@@ -335,6 +335,39 @@ TEST(PathVerifier, MissingHopFailsExpectedPath) {
   EXPECT_FALSE(PathVerifier::crosses_in_order(verdict, {"s1", "s2", "s3"}));
 }
 
+TEST(PathVerifier, NestedSignatureHopsInPostOrder) {
+  Deployment dep(netsim::topo::chain(3));
+  dep.provision_goldens();
+  // s2 signs over s1's signed record plus its own Hardware measurement.
+  auto& s1 = dep.switch_node("s1").pera();
+  auto& s2 = dep.switch_node("s2").pera();
+  const copland::EvidencePtr inner = s1.attest_challenge(
+      nac::mask_of(EvidenceDetail::kProgram),
+      crypto::Nonce{crypto::sha256("nested")}, /*hash_before_sign=*/false);
+  const copland::EvidencePtr content = copland::Evidence::extend(
+      inner, copland::Evidence::measurement(
+                 "s2", "s2", "Hardware",
+                 s2.measurement().measure(EvidenceDetail::kHardware),
+                 s2.measurement().claim_text(EvidenceDetail::kHardware)));
+  const copland::EvidencePtr outer = copland::Evidence::signature(
+      "s2", content, s2.engine().signer().sign(copland::digest(content)));
+
+  const PathVerifier verifier(dep.appraiser().appraiser().goldens(),
+                              dep.keys());
+  const PathVerdict verdict = verifier.verify(outer);
+  EXPECT_TRUE(verdict.ok());
+  // The inner signature's hop comes first, and each hop holds only the
+  // measurements it is the innermost signature of.
+  EXPECT_EQ(verdict.places(), (std::vector<std::string>{"s1", "s2"}));
+  ASSERT_EQ(verdict.hops.size(), 2u);
+  EXPECT_EQ(verdict.hops[0].measurements.count("Program"), 1u);
+  EXPECT_EQ(verdict.hops[0].measurements.count("Hardware"), 0u);
+  EXPECT_EQ(verdict.hops[1].measurements.count("Hardware"), 1u);
+  EXPECT_EQ(verdict.hops[1].measurements.count("Program"), 0u);
+  EXPECT_TRUE(PathVerifier::crosses_in_order(verdict, {"s1", "s2"}));
+  EXPECT_FALSE(PathVerifier::crosses_in_order(verdict, {"s2", "s1"}));
+}
+
 // --- guards over live packets (AP2 / UC4) ------------------------------------------
 
 TEST(Guards, ScannerPolicyOnlyFiresOnMatchingTraffic) {

@@ -3,8 +3,10 @@
 // PERA switch's per-packet policy execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 
 #include "crypto/keystore.h"
 #include "nac/compiler.h"
@@ -136,6 +138,57 @@ TEST(Cache, FreshNonceDefeatsCache) {
   (void)sw.attest_challenge(nac::mask_of(nac::EvidenceDetail::kProgram),
                             crypto::Nonce{crypto::sha256("n2")});
   EXPECT_EQ(sw.cache().stats().hits, 0u);
+}
+
+// Up to kRecurrenceWindow repeating nonces may interleave at one switch,
+// as flows with their own policy nonces do: each misses once, then hits.
+TEST(Cache, InterleavedRepeatingNoncesHit) {
+  for (const std::size_t flows : {std::size_t{2}, std::size_t{3},
+                                  EvidenceCache::kRecurrenceWindow}) {
+    Bed bed;
+    PeraSwitch sw = bed.make_switch();
+    std::vector<crypto::Nonce> nonces;
+    for (std::size_t f = 0; f < flows; ++f) {
+      nonces.push_back(
+          crypto::Nonce{crypto::sha256("flow" + std::to_string(f))});
+    }
+    for (int round = 0; round < 4; ++round) {
+      for (const crypto::Nonce& n : nonces) {
+        (void)sw.attest_challenge(nac::mask_of(nac::EvidenceDetail::kProgram),
+                                  n);
+      }
+    }
+    EXPECT_EQ(sw.cache().stats().misses, flows) << flows << " flows";
+    EXPECT_EQ(sw.cache().stats().hits, 3 * flows) << flows << " flows";
+    EXPECT_EQ(sw.cache().size(), flows);
+  }
+}
+
+// Fresh nonces never recur: past kRecurrenceWindow of them, each new entry
+// drops the oldest entry never hit. An entry that was hit stays.
+TEST(Cache, FreshNoncesHoldOnlyTheWindow) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  const auto mask = nac::mask_of(nac::EvidenceDetail::kProgram);
+  const auto fresh = [](std::size_t i) {
+    return crypto::Nonce{crypto::sha256("fresh" + std::to_string(i))};
+  };
+  const std::size_t rounds = 3 * EvidenceCache::kRecurrenceWindow;
+  const crypto::Nonce policy{crypto::sha256("policy")};
+  (void)sw.attest_challenge(mask, policy);
+  (void)sw.attest_challenge(mask, policy);
+  for (std::size_t i = 0; i < rounds; ++i) {
+    (void)sw.attest_challenge(mask, fresh(i));
+  }
+  EXPECT_EQ(sw.cache().size(), EvidenceCache::kRecurrenceWindow + 1);
+  (void)sw.attest_challenge(mask, policy);
+  EXPECT_EQ(sw.cache().stats().hits, 2u);
+  // The oldest fresh entries are gone, the newest still hit.
+  (void)sw.attest_challenge(mask, fresh(0));
+  EXPECT_EQ(sw.cache().stats().hits, 2u);
+  (void)sw.attest_challenge(mask, fresh(rounds - 1));
+  EXPECT_EQ(sw.cache().stats().hits, 3u);
+  EXPECT_EQ(sw.cache().size(), EvidenceCache::kRecurrenceWindow + 1);
 }
 
 TEST(Cache, ProgramSwapInvalidates) {
@@ -380,6 +433,15 @@ void expect_fresh_bytes_after(const std::function<void(PeraSwitch&)>& mutate) {
   EXPECT_NE(seen[0][2], seen[0][1]);
   EXPECT_EQ(seen[0][3], seen[0][2]);
   EXPECT_EQ(seen[0], seen[1]);
+  // The memoised measurements equal the uncached reference digests.
+  const dataplane::PisaSwitch& dp = sw.dataplane();
+  const MeasurementUnit& mu = sw.measurement();
+  EXPECT_EQ(mu.measure(nac::EvidenceDetail::kProgram),
+            dp.program().program_digest());
+  EXPECT_EQ(mu.measure(nac::EvidenceDetail::kTables),
+            dp.program().tables_digest_full());
+  EXPECT_EQ(mu.measure(nac::EvidenceDetail::kProgState),
+            dp.registers().state_digest_full());
 }
 
 TEST(CacheBytes, TableUpdateServesFreshBytes) {
@@ -401,6 +463,52 @@ TEST(CacheBytes, RegisterWriteServesFreshBytes) {
 TEST(CacheBytes, ProgramLoadServesFreshBytes) {
   expect_fresh_bytes_after([](PeraSwitch& sw) {
     sw.load_program(dataplane::make_rogue_router("v1"));
+  });
+}
+
+// Mutations made on the dataplane directly, past PeraSwitch's control
+// plane: the epochs read live state, so each of them expires the cache.
+TEST(CacheBytes, DataplaneProgramLoadServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    // The same tables and registers as the running program: only the
+    // load itself tells the Program measurement apart.
+    auto next = make_router("v2");
+    next->declare_register("r", 2);
+    sw.dataplane().load_program(std::move(next));
+  });
+}
+
+TEST(CacheBytes, RegisterDeclarationServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    sw.dataplane().program().declare_register("extra", 4);
+  });
+}
+
+TEST(CacheBytes, ActionAddedServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    sw.dataplane().program().add_action(dataplane::stdaction::noop());
+  });
+}
+
+TEST(CacheBytes, TableAddedServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    (void)sw.dataplane().program().add_table(
+        "acl", {dataplane::KeySpec{{"tcp", "dport"},
+                                   dataplane::MatchKind::kExact, 16}});
+  });
+}
+
+TEST(CacheBytes, MutationProfileServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    sw.dataplane().program().table("route")->set_mutation_profile(
+        true, 64, dataplane::EvictionPolicy::kLru);
+  });
+}
+
+TEST(CacheBytes, EntryRewriteServesFreshBytes) {
+  expect_fresh_bytes_after([](PeraSwitch& sw) {
+    sw.dataplane().program().table("route")->entry_mut(0).action_params = {
+        7};
   });
 }
 
@@ -528,6 +636,47 @@ TEST(PeraSwitchPath, SamplingSkipsPackets) {
   }
   EXPECT_EQ(attested, 4);  // 1 in 2^2
   EXPECT_EQ(sw.ra_stats().skipped_by_sampling, 12u);
+}
+
+// Which packets two interleaved flows attest, pinned: the sampler counts
+// per flow nonce, and a third flow that attests every packet, interleaved
+// with them, leaves their sequences as they were. Each flow's nonce
+// misses the evidence cache once; its later attestations hit.
+TEST(PeraSwitchPath, SamplingDecisionSequencePerFlow) {
+  for (const std::uint8_t log2 : {1, 3}) {
+    Bed bed;
+    PeraSwitch sw = bed.make_switch();
+    nac::CompiledPolicy pol;
+    nac::HopInstruction inst = program_inst();
+    inst.wildcard = true;
+    pol.hops = {inst};
+    const nac::PolicyHeader a =
+        nac::make_header(pol, crypto::Nonce{crypto::sha256("a")}, true, log2);
+    const nac::PolicyHeader b =
+        nac::make_header(pol, crypto::Nonce{crypto::sha256("b")}, true, log2);
+    const nac::PolicyHeader every =
+        nac::make_header(pol, crypto::Nonce{crypto::sha256("c")}, true, 0);
+    std::string decisions;
+    for (int i = 0; i < 16; ++i) {
+      for (const nac::PolicyHeader* hdr : {&a, &every, &b}) {
+        nac::EvidenceCarrier carrier;
+        const PeraResult res = sw.process(
+            make_tcp_packet({.ip_dst = 0x0a000202}), hdr, &carrier);
+        if (hdr == &every) {
+          EXPECT_TRUE(res.attested);
+        } else {
+          decisions += res.attested ? '1' : '0';
+        }
+      }
+    }
+    EXPECT_EQ(decisions, log2 == 1 ? "11001100110011001100110011001100"
+                                   : "11000000000000001100000000000000")
+        << "sampling_log2 " << int{log2};
+    const auto sampled = static_cast<std::uint64_t>(
+        std::count(decisions.begin(), decisions.end(), '1'));
+    EXPECT_EQ(sw.cache().stats().misses, 3u);
+    EXPECT_EQ(sw.cache().stats().hits, 16 + sampled - 3);
+  }
 }
 
 TEST(PeraSwitchPath, PinnedInstructionOnlyOnNamedSwitch) {

@@ -351,7 +351,6 @@ TEST_F(StateAttestEpochs, ProgramSwapAdvancesAllMutableEpochs) {
   const auto t_epoch = epoch(nac::EvidenceDetail::kTables);
   const auto s_epoch = epoch(nac::EvidenceDetail::kProgState);
   sw_.load_program(dataplane::make_router());
-  mu_.on_program_loaded();
   EXPECT_NE(epoch(nac::EvidenceDetail::kTables), t_epoch);
   EXPECT_NE(epoch(nac::EvidenceDetail::kProgState), s_epoch);
 }
